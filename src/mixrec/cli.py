@@ -254,6 +254,10 @@ def cmd_eval(args):
         raise DataError(
             f"checkpoint was trained at max_len={model_cfg.max_len} but the "
             f"dataset uses max_len={dataset.max_len}")
+    if model_cfg.num_items != dataset.num_items:
+        raise DataError(
+            f"checkpoint was trained on {model_cfg.num_items} items but the "
+            f"dataset has {dataset.num_items}")
     metrics = evaluate_split(params, model_cfg, dataset, args.split,
                              num_negatives=cfg["eval_negatives"],
                              cutoff=cfg["eval_cutoff"], seed=cfg["seed"])

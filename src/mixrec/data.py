@@ -261,39 +261,43 @@ class PopularityDist:
         self.counts = counts
         self.probs = counts / total
         self.cumulative = np.cumsum(self.probs)
-
-    def sample(self, exclude, n, rng):
-        return sample_negatives(self, exclude, n, rng)
+        self.observed = counts > 0  # candidate mask; PAD is never observed
 
 
 def sample_negatives(dist, exclude, n, rng):
-    """Draw ``n`` distinct items, popularity-weighted, outside ``exclude``."""
-    positive = np.nonzero(dist.counts > 0)[0]
-    excluded = set(exclude)
-    excluded.add(PAD)
-    pool = [int(i) for i in positive if i not in excluded]
-    if len(pool) < n:
-        raise SamplingError(f"need {n} negatives but candidate pool has {len(pool)} items")
+    """Draw ``n`` distinct items, popularity-weighted, outside ``exclude``.
+
+    Rejection draws by popularity come first; whatever is still missing
+    comes from one exact draw, renormalised over the remaining candidates.
+    Exclusions outside the vocabulary are ignored.
+    """
+    pool = dist.observed.copy()
+    idx = np.fromiter(exclude, dtype=np.intp)
+    pool[idx[(idx >= 0) & (idx < pool.size)]] = False
+    size = int(pool.sum())
+    if size < n:
+        raise SamplingError(f"need {n} negatives but candidate pool has {size} items")
 
     chosen = []
     # rejection sampling is fast while the pool dwarfs the request
-    if n * 3 <= len(pool):
-        seen = set(excluded)
+    if n * 3 <= size:
+        seen = set(exclude)
+        seen.add(PAD)
         for _ in range(40):
             draws = np.searchsorted(dist.cumulative, rng.random(2 * (n - len(chosen))), side="right")
-            for item in draws:
-                item = int(item)
+            for item in draws.tolist():
                 if item not in seen:
                     seen.add(item)
                     chosen.append(item)
                     if len(chosen) == n:
                         return chosen
 
-    # exact renormalized draws over the remaining candidates
-    remaining = [i for i in pool if i not in set(chosen)]
+    # exact renormalized draws over the remaining candidates, in index order
+    pool[chosen] = False
+    remaining = np.flatnonzero(pool)
     weights = dist.counts[remaining]
     extra = rng.choice(len(remaining), size=n - len(chosen), replace=False, p=weights / weights.sum())
-    chosen.extend(int(remaining[k]) for k in extra)
+    chosen.extend(remaining[extra].tolist())
     return chosen
 
 

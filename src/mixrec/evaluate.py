@@ -26,15 +26,19 @@ class RankingMetrics:
 
 
 def rank_of_target(scores, target_position):
-    """1-based rank of one candidate; ties rank it after every tied rival."""
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if not 0 <= target_position < scores.size:
+    """1-based rank of one candidate; ties rank it after every tied rival.
+
+    Given a B×C matrix, ranks the candidate at ``target_position`` in every
+    row at once and returns the B ranks. A NaN target score ranks 0.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    rows = scores if scores.ndim == 2 else scores.reshape(1, -1)
+    if not 0 <= target_position < rows.shape[1]:
         raise ValueError(
-            f"target position {target_position} outside 0..{scores.size - 1}")
-    s = scores[target_position]
-    greater = int((scores > s).sum())
-    tied_others = int((scores == s).sum()) - 1
-    return 1 + greater + tied_others
+            f"target position {target_position} outside 0..{rows.shape[1] - 1}")
+    t = rows[:, target_position, None]
+    ranks = (rows > t).sum(axis=1) + (rows == t).sum(axis=1)
+    return ranks if scores.ndim == 2 else int(ranks[0])
 
 
 def metrics_at_n(ranks, n):
@@ -54,11 +58,15 @@ def metrics_at_n(ranks, n):
     return RankingMetrics(hr / count, ndcg / count, mrr / count, n, count)
 
 
+# per-split tags of the example seed; hashed once, here, not per example
+_SPLIT_TAGS = {split: int(hashlib.sha256(split.encode()).hexdigest()[:8], 16)
+               for split in ("train", "val", "test")}
+
+
 def example_rng(seed, user, split):
     """Per-example generator fixed by (seed, user, split): parallel or
     repeated evaluation order can never change the drawn negatives."""
-    tag = int(hashlib.sha256(split.encode()).hexdigest()[:8], 16)
-    return np.random.default_rng(np.random.SeedSequence((seed, user, tag)))
+    return np.random.default_rng(np.random.SeedSequence((seed, user, _SPLIT_TAGS[split])))
 
 
 def evaluate_split(params, cfg, dataset, split, num_negatives=100, cutoff=10,
@@ -88,6 +96,5 @@ def evaluate_split(params, cfg, dataset, split, num_negatives=100, cutoff=10,
             hidden = forward_hidden(inputs, params, cfg, arch=arch,
                                     item_features=dataset.item_features or None)
             _, raw = score_items(hidden, cands, params)
-            for row in raw.data:
-                ranks.append(rank_of_target(row, 0))
+            ranks.extend(rank_of_target(raw.data, 0).tolist())
     return metrics_at_n(ranks, cutoff)

@@ -42,6 +42,18 @@ class TestDispatchAndExitCodes:
                          "--out", str(tmp_path / "out")])
         assert code == 3
 
+    @pytest.mark.parametrize("vocab", [50, 30])
+    def test_eval_on_another_vocabulary_is_data_error(self, tmp_path, vocab):
+        # the checkpoint knows 40 items; the dataset has more, then fewer
+        train_out = tmp_path / "train"
+        assert cli.main(["train", "--dataset", str(synth(tmp_path, vocab=40)), "--k", "2",
+                         "--out", str(train_out)] + FAST) == 0
+        other = synth(tmp_path, name="other", vocab=vocab)
+        code = cli.main(["eval", "--dataset", str(other),
+                         "--checkpoint", str(train_out / "checkpoint.bin"),
+                         "--eval-negatives", "8", "--out", str(tmp_path / "out")])
+        assert code == 3
+
     def test_train_without_window_is_usage_error(self, tmp_path):
         dataset = synth(tmp_path)
         code = cli.main(["train", "--dataset", str(dataset),

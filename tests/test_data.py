@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixrec import data as d
 
@@ -196,6 +198,73 @@ class TestSampleNegatives:
         out1 = d.sample_negatives(d.PopularityDist(counts), {3}, 20, np.random.default_rng(5))
         out2 = d.sample_negatives(d.PopularityDist(counts), {3}, 20, np.random.default_rng(5))
         assert out1 == out2
+
+    # Literal draws: evaluation negatives are part of the seed contract, so
+    # no rewrite of the sampler may change them.
+
+    def test_pinned_draws_rejection_path(self):
+        out = d.sample_negatives(d.PopularityDist(np.arange(40)), {3, 7, 11, 99}, 8,
+                                 np.random.default_rng(11))
+        assert out == [14, 28, 31, 15, 38, 10, 24, 32]
+
+    def test_pinned_draws_direct_fallback(self):
+        # 7 candidates, n*3 > 7: only the exact renormalised draw runs;
+        # -1 and 50 lie outside the vocabulary and exclude nothing
+        counts = [0, 5, 1, 3, 0, 2, 8, 4, 6, 1, 2]
+        out = d.sample_negatives(d.PopularityDist(counts), {2, 6, -1, 50}, 4,
+                                 np.random.default_rng(12))
+        assert out == [3, 10, 1, 7]
+
+    def test_pinned_draws_after_rejection_rounds_run_out(self):
+        # item 1 takes nearly all the mass, so 40 rounds find only it and
+        # the exact draw picks the other eight
+        counts = [0, 10**9] + [1] * 29
+        out = d.sample_negatives(d.PopularityDist(counts), {0, 30}, 9,
+                                 np.random.default_rng(13))
+        assert out == [1, 27, 17, 16, 9, 22, 15, 10, 11]
+
+    @given(st.lists(st.integers(0, 50), min_size=2, max_size=40),
+           st.sets(st.integers(-5, 50), max_size=30),
+           st.integers(1, 45), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_list_based_oracle(self, counts, exclude, n, seed):
+        counts[1] += 1  # a distribution needs one observed interaction
+        dist = d.PopularityDist(counts)
+        try:
+            want = list_pool_sample_negatives(dist, exclude, n, np.random.default_rng(seed))
+        except d.SamplingError:
+            with pytest.raises(d.SamplingError):
+                d.sample_negatives(dist, exclude, n, np.random.default_rng(seed))
+            return
+        assert d.sample_negatives(dist, exclude, n, np.random.default_rng(seed)) == want
+
+
+def list_pool_sample_negatives(dist, exclude, n, rng):
+    """The sampler as it was before its pool became a boolean mask: a
+    rejection pass by popularity, then an exact renormalised draw."""
+    positive = np.nonzero(dist.counts > 0)[0]
+    excluded = set(exclude)
+    excluded.add(d.PAD)
+    pool = [int(i) for i in positive if i not in excluded]
+    if len(pool) < n:
+        raise d.SamplingError(f"need {n} negatives but candidate pool has {len(pool)} items")
+    chosen = []
+    if n * 3 <= len(pool):
+        seen = set(excluded)
+        for _ in range(40):
+            draws = np.searchsorted(dist.cumulative, rng.random(2 * (n - len(chosen))), side="right")
+            for item in draws:
+                item = int(item)
+                if item not in seen:
+                    seen.add(item)
+                    chosen.append(item)
+                    if len(chosen) == n:
+                        return chosen
+    remaining = [i for i in pool if i not in set(chosen)]
+    weights = dist.counts[remaining]
+    extra = rng.choice(len(remaining), size=n - len(chosen), replace=False, p=weights / weights.sum())
+    chosen.extend(int(remaining[k]) for k in extra)
+    return chosen
 
 
 class TestSyntheticLog:

@@ -27,6 +27,19 @@ class TestRankOfTarget:
         with pytest.raises(ValueError):
             ev.rank_of_target([0.1, 0.2], 5)
 
+    def test_matrix_ranks_every_row_as_the_one_row_form_does(self):
+        # integer-valued scores make ties common; a NaN target ranks 0
+        rng = np.random.default_rng(7)
+        scores = rng.integers(0, 4, size=(40, 9)).astype(np.float64)
+        scores[5, 2] = np.nan
+        for target in (0, 2, 8):
+            ranks = ev.rank_of_target(scores, target)
+            assert ranks.shape == (40,)
+            assert ranks.tolist() == [ev.rank_of_target(row, target) for row in scores]
+        assert ev.rank_of_target(scores, 2)[5] == 0
+        with pytest.raises(ValueError):
+            ev.rank_of_target(scores, 9)
+
 
 class TestMetricsAtN:
     def test_all_first_ranks(self):
