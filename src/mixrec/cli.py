@@ -32,11 +32,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-MODEL_KEYS = ("max_len", "dim", "seq_hidden", "ch_hidden", "layers", "dropout",
-              "activation", "norm_axis", "disable_sequence_mixer",
-              "disable_channel_mixer")
 TRAIN_KEYS = ("learning_rate", "beta1", "beta2", "eps_adam", "batch_size",
-              "max_epochs", "patience", "negatives_per_positive", "dropout",
+              "max_epochs", "patience", "negatives_per_positive",
               "weight_decay", "seed", "eval_negatives", "eval_cutoff")
 
 DEFAULTS = {
@@ -54,14 +51,13 @@ DEFAULTS = {
     "negatives_per_positive": 1, "weight_decay": 0.0, "seed": 0,
     "eval_negatives": 100, "eval_cutoff": 10,
     # search
-    "K": "1,2,4", "arch_lr": 3e-3, "search_mode": "first_order",
-    "warm_start": False, "k": 0,
+    "K": "1,2,4", "arch_lr": 3e-3, "search_mode": "first_order", "k": 0,
     # sweeps / benchmarks
     "sweep_layers": "4,8,12", "sweep_dims": "32,64,128",
     "bench_lens": "64,128,256,512", "reps": 50,
 }
 
-_BOOL_KEYS = {"header", "disable_sequence_mixer", "disable_channel_mixer", "warm_start"}
+_BOOL_KEYS = {"header", "disable_sequence_mixer", "disable_channel_mixer"}
 _INT_KEYS = {"min_interactions", "users", "len", "vocab", "kstar", "max_len", "dim",
              "seq_hidden", "ch_hidden", "layers", "batch_size", "max_epochs",
              "patience", "negatives_per_positive", "seed", "eval_negatives",
@@ -83,10 +79,13 @@ def _coerce(key, value):
         if str(value).lower() in ("0", "false", "no", "off"):
             return False
         raise UsageError(f"config key {key}: expected a boolean, got {value!r}")
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
+    try:
+        if key in _INT_KEYS:
+            return int(value)
+        if key in _FLOAT_KEYS:
+            return float(value)
+    except ValueError:
+        raise UsageError(f"config key {key}: expected a number, got {value!r}") from None
     return str(value)
 
 
@@ -140,18 +139,24 @@ def _parse_windows(text):
 def _model_config(cfg, num_items, windows, max_len=None):
     # dataset-consuming commands pass the dataset's padded length, which is
     # authoritative over any configured default
-    return ModelConfig(
-        num_items=num_items, max_len=max_len or cfg["max_len"], dim=cfg["dim"],
-        seq_hidden=cfg["seq_hidden"], ch_hidden=cfg["ch_hidden"],
-        layers=cfg["layers"], windows=windows, dropout=cfg["dropout"],
-        activation=cfg["activation"], norm_axis=cfg["norm_axis"],
-        disable_sequence_mixer=cfg["disable_sequence_mixer"],
-        disable_channel_mixer=cfg["disable_channel_mixer"],
-    )
+    try:
+        return ModelConfig(
+            num_items=num_items, max_len=max_len or cfg["max_len"], dim=cfg["dim"],
+            seq_hidden=cfg["seq_hidden"], ch_hidden=cfg["ch_hidden"],
+            layers=cfg["layers"], windows=windows, dropout=cfg["dropout"],
+            activation=cfg["activation"], norm_axis=cfg["norm_axis"],
+            disable_sequence_mixer=cfg["disable_sequence_mixer"],
+            disable_channel_mixer=cfg["disable_channel_mixer"],
+        )
+    except ValueError as exc:
+        raise UsageError(f"model config: {exc}") from None
 
 
 def _train_config(cfg):
-    return TrainConfig(**{key: cfg[key] for key in TRAIN_KEYS})
+    try:
+        return TrainConfig(**{key: cfg[key] for key in TRAIN_KEYS})
+    except ValueError as exc:
+        raise UsageError(f"train config: {exc}") from None
 
 
 def _load_dataset(path):

@@ -10,7 +10,7 @@ so the most recent item always sits in the final slot.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +50,11 @@ class ParseFormat:
 class InteractionLog:
     """Raw events plus bijective id <-> dense index maps (indices start at 1)."""
 
-    events: list  # (user_id, item_id, timestamp, features-or-None)
+    events: list  # (user_id, item_id, timestamp, None)
     user_index: dict
     item_index: dict
     users: list  # users[idx] = id, users[0] is None
     items: list
-    item_features: dict = field(default_factory=dict)  # item idx -> tuple of codes
 
     @property
     def num_users(self):
@@ -133,13 +132,7 @@ def filter_users(log, min_interactions):
         if item not in item_index:
             item_index[item] = len(items)
             items.append(item)
-    features = {}
-    if log.item_features:
-        for item_id, idx in item_index.items():
-            old = log.item_features.get(log.item_index[item_id])
-            if old is not None:
-                features[idx] = old
-    return InteractionLog(events, user_index, item_index, users, items, features)
+    return InteractionLog(events, user_index, item_index, users, items)
 
 
 @dataclass
@@ -159,8 +152,6 @@ class SequenceDataset:
     user_sequences: dict  # user idx -> list of item indices, oldest first
     examples: list
     item_counts: np.ndarray  # index -> interaction count, item_counts[PAD] == 0
-    item_features: dict = field(default_factory=dict)
-    num_feature_fields: int = 0
 
     def split_examples(self, split):
         return [ex for ex in self.examples if ex.split == split]
@@ -175,34 +166,26 @@ class SequenceDataset:
                 "max_len": self.max_len,
                 "num_items": self.num_items,
                 "item_counts": self.item_counts.tolist(),
-                "num_feature_fields": self.num_feature_fields,
             }
             fh.write(json.dumps(header, sort_keys=True) + "\n")
-            if self.item_features:
-                feats = {str(k): list(v) for k, v in sorted(self.item_features.items())}
-                fh.write(json.dumps({"item_features": feats}, sort_keys=True) + "\n")
             for user in sorted(self.user_sequences):
                 fh.write(json.dumps({"user": user, "items": self.user_sequences[user]}) + "\n")
 
     @classmethod
     def load(cls, path):
+        # a truncated or corrupt file surfaces as a JSON, key or type error
         with open(path, "r", encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            sequences = {}
-            features = {}
-            for line in fh:
-                rec = json.loads(line)
-                if "item_features" in rec:
-                    features = {int(k): tuple(v) for k, v in rec["item_features"].items()}
-                    continue
-                sequences[rec["user"]] = list(rec["items"])
-        ds = _dataset_from_sequences(
-            sequences, header["max_len"], header["num_items"],
-            np.asarray(header["item_counts"], dtype=np.int64),
-        )
-        ds.item_features = features
-        ds.num_feature_fields = header.get("num_feature_fields", 0)
-        return ds
+            try:
+                header = json.loads(fh.readline())
+                max_len, num_items = header["max_len"], header["num_items"]
+                item_counts = np.asarray(header["item_counts"], dtype=np.int64)
+                sequences = {}
+                for line in fh:
+                    rec = json.loads(line)
+                    sequences[rec["user"]] = list(rec["items"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}: malformed dataset file: {exc!r}") from None
+        return _dataset_from_sequences(sequences, max_len, num_items, item_counts)
 
 
 def _dataset_from_sequences(sequences, max_len, num_items, item_counts):
@@ -242,10 +225,7 @@ def build_sequences(log, max_len):
             counts[i] += 1
 
     retained = {u: seq for u, seq in sequences.items() if len(seq) >= 3}
-    ds = _dataset_from_sequences(retained, max_len, log.num_items, counts)
-    ds.item_features = dict(log.item_features)
-    ds.num_feature_fields = len(next(iter(log.item_features.values()))) if log.item_features else 0
-    return ds
+    return _dataset_from_sequences(retained, max_len, log.num_items, counts)
 
 
 class PopularityDist:

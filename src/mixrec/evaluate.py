@@ -55,7 +55,8 @@ def metrics_at_n(ranks, n):
             ndcg += 1.0 / np.log2(r + 1.0)
             mrr += 1.0 / r
     count = len(ranks)
-    return RankingMetrics(hr / count, ndcg / count, mrr / count, n, count)
+    # np.log2 and numpy ranks yield numpy scalars; records hold plain floats
+    return RankingMetrics(hr / count, float(ndcg / count), float(mrr / count), n, count)
 
 
 # per-split tags of the example seed; hashed once, here, not per example
@@ -93,8 +94,7 @@ def evaluate_split(params, cfg, dataset, split, num_negatives=100, cutoff=10,
                 negs = sample_negatives(dist, dataset.user_items(ex.user), num_negatives, rng)
                 cands[i, 0] = ex.target
                 cands[i, 1:] = negs
-            hidden = forward_hidden(inputs, params, cfg, arch=arch,
-                                    item_features=dataset.item_features or None)
-            _, raw = score_items(hidden, cands, params)
+            hidden = forward_hidden(inputs, params, cfg, arch=arch)
+            raw = score_items(hidden, cands, params)
             ranks.extend(rank_of_target(raw.data, 0).tolist())
     return metrics_at_n(ranks, cutoff)

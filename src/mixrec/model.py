@@ -18,7 +18,7 @@ sequence-mixer is a block transpose.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,9 +48,11 @@ class ModelConfig:
     norm_axis: str = "channel"       # or "sequence" (normalize along positions instead)
     disable_sequence_mixer: bool = False
     disable_channel_mixer: bool = False
-    feature_vocabs: tuple = ()       # per-field vocab sizes; empty = plain id lookup
 
     def __post_init__(self):
+        for name in ("dim", "seq_hidden", "ch_hidden", "layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         self.windows = tuple(int(k) for k in self.windows)
         if not self.windows:
             raise ValueError("at least one short-term window is required")
@@ -62,10 +64,6 @@ class ModelConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.norm_axis not in ("channel", "sequence"):
             raise ValueError(f"unknown norm_axis {self.norm_axis!r}")
-
-    @property
-    def num_feature_fields(self):
-        return len(self.feature_vocabs)
 
 
 @dataclass
@@ -95,18 +93,10 @@ class ModelParams:
     candidate_stacks: list               # one stack per short-term window
     out_w: nk.Tensor2                    # D x 2D
     out_b: nk.Tensor2                    # 1 x D
-    feature_embeddings: list = field(default_factory=list)
-    feature_fusion: nk.Tensor2 = None    # D x (C*D)
-    feature_bias: nk.Tensor2 = None      # 1 x D
 
     def leaves(self):
         """Ordered (name, tensor) pairs over every trainable leaf."""
         out = [("item_embedding", self.item_embedding)]
-        for c, table in enumerate(self.feature_embeddings):
-            out.append((f"feature_embedding.{c}", table))
-        if self.feature_fusion is not None:
-            out.append(("feature_fusion", self.feature_fusion))
-            out.append(("feature_bias", self.feature_bias))
         for li, layer in enumerate(self.long_stack):
             out.extend(layer.named(f"long.{li}"))
         for m, stack in enumerate(self.candidate_stacks):
@@ -115,9 +105,6 @@ class ModelParams:
         out.append(("out_w", self.out_w))
         out.append(("out_b", self.out_b))
         return out
-
-    def leaf_dict(self):
-        return dict(self.leaves())
 
     def copy_data(self):
         return {name: leaf.data.copy() for name, leaf in self.leaves()}
@@ -170,16 +157,6 @@ def init_params(cfg, rng):
     d = cfg.dim
     emb = rng.normal(0.0, 0.02, size=(cfg.num_items + 1, d))
     emb[PAD] = 0.0
-    feature_embeddings = []
-    feature_fusion = feature_bias = None
-    if cfg.feature_vocabs:
-        for vocab in cfg.feature_vocabs:
-            table = rng.normal(0.0, 0.02, size=(vocab + 1, d))
-            table[0] = 0.0
-            feature_embeddings.append(nk.Tensor2(table, requires_grad=True))
-        c = cfg.num_feature_fields
-        feature_fusion = _uniform_init(rng, d, c * d, c * d)
-        feature_bias = nk.Tensor2(np.zeros((1, d)), requires_grad=True)
     return ModelParams(
         item_embedding=nk.Tensor2(emb, requires_grad=True),
         long_stack=[_init_layer(rng, cfg.max_len, cfg) for _ in range(cfg.layers)],
@@ -188,9 +165,6 @@ def init_params(cfg, rng):
         ],
         out_w=_uniform_init(rng, d, 2 * d, 2 * d),
         out_b=nk.Tensor2(np.zeros((1, d)), requires_grad=True),
-        feature_embeddings=feature_embeddings,
-        feature_fusion=feature_fusion,
-        feature_bias=feature_bias,
     )
 
 
@@ -206,31 +180,16 @@ def _activation(cfg, x):
     return nk.gelu(x) if cfg.activation == "gelu" else nk.relu(x)
 
 
-def embed(inputs, params, cfg, item_features=None):
+def embed(inputs, params, cfg):
     """Look up a padded index matrix (B x T ints) as a (B*T) x D tensor.
 
-    With feature fields configured, each position is the fused projection of
-    its item's feature embeddings; padding positions stay exactly zero.
+    Padding positions read the frozen zero row of the embedding table.
     """
     idx = np.asarray(inputs, dtype=np.intp).reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() > cfg.num_items):
         raise LookupError(
             f"item index out of range [0, {cfg.num_items}]: {int(idx.min())}..{int(idx.max())}")
-    if not cfg.feature_vocabs:
-        return nk.take_rows(params.item_embedding, idx)
-
-    feats = np.zeros((idx.size, cfg.num_feature_fields), dtype=np.intp)
-    lookup = item_features or {}
-    for pos, item in enumerate(idx):
-        if item != PAD:
-            feats[pos] = lookup[int(item)]
-    parts = [nk.take_rows(tbl, feats[:, c]) for c, tbl in enumerate(params.feature_embeddings)]
-    cat = parts[0]
-    for part in parts[1:]:
-        cat = nk.concat_cols(cat, part)
-    fused = nk.add(nk.matmul(cat, nk.transpose(params.feature_fusion)), params.feature_bias)
-    pad_mask = nk.Tensor2((idx != PAD).astype(np.float64)[:, None])
-    return nk.mul(fused, pad_mask)
+    return nk.take_rows(params.item_embedding, idx)
 
 
 def _mixer_mlp(rows, w_in, w_out, cfg, train_mode, rng):
@@ -322,8 +281,7 @@ def fuse_output(x_short, x_long, params):
     return nk.add(nk.matmul(joint, nk.transpose(params.out_w)), params.out_b)
 
 
-def forward_hidden(inputs, params, cfg, arch=None, train_mode=False, rng=None,
-                   item_features=None):
+def forward_hidden(inputs, params, cfg, arch=None, train_mode=False, rng=None):
     """Hidden state per example: B x T padded indices -> B x D tensor.
 
     ``arch=None`` requires a single candidate stack (the retrained model);
@@ -335,7 +293,7 @@ def forward_hidden(inputs, params, cfg, arch=None, train_mode=False, rng=None,
     b, t = inputs.shape
     if t != cfg.max_len:
         raise nk.ShapeError(f"input length {t} does not match max_len {cfg.max_len}")
-    x = embed(inputs, params, cfg, item_features)
+    x = embed(inputs, params, cfg)
     x_long = interest_forward(x, t, params.long_stack, cfg, b, t, train_mode, rng)
     if arch is None:
         if len(params.candidate_stacks) != 1:
@@ -351,8 +309,7 @@ def score_items(hidden, candidate_items, params):
     """Dot-product scores of hidden rows against candidate item embeddings.
 
     ``candidate_items`` is one index list shared by every row, or a B x C
-    matrix of per-row candidates. Returns (probabilities, raw_scores),
-    both B x C; probabilities are the row-wise softmax of the raw scores.
+    matrix of per-row candidates. Returns the B x C raw scores.
     """
     cand = np.asarray(candidate_items, dtype=np.intp)
     if cand.size == 0:
@@ -363,8 +320,7 @@ def score_items(hidden, candidate_items, params):
     emb = nk.take_rows(params.item_embedding, cand.reshape(-1))
     rep = nk.repeat_rows(hidden, c)
     dots = nk.row_dot(rep, emb)                      # (B*C) x 1
-    raw = nk.batch_transpose(dots, b)                # B x C
-    return nk.softmax(raw), raw
+    return nk.batch_transpose(dots, b)               # B x C
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +340,6 @@ def save_checkpoint(path, params, cfg):
             "norm_axis": cfg.norm_axis,
             "disable_sequence_mixer": cfg.disable_sequence_mixer,
             "disable_channel_mixer": cfg.disable_channel_mixer,
-            "feature_vocabs": list(cfg.feature_vocabs),
         },
         "arrays": [[name, leaf.rows, leaf.cols] for name, leaf in leaves],
     }
@@ -401,24 +356,28 @@ def load_checkpoint(path):
         magic = fh.readline().rstrip(b"\n")
         if magic != CHECKPOINT_MAGIC:
             raise DataFormatError(f"not a checkpoint file (magic {magic!r})")
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise DataFormatError(f"unsupported checkpoint version {header.get('version')}")
-        c = header["config"]
-        cfg = ModelConfig(
-            num_items=c["num_items"], max_len=c["max_len"], dim=c["dim"],
-            seq_hidden=c["seq_hidden"], ch_hidden=c["ch_hidden"], layers=c["layers"],
-            windows=tuple(c["windows"]), dropout=c["dropout"], activation=c["activation"],
-            norm_axis=c["norm_axis"],
-            disable_sequence_mixer=c["disable_sequence_mixer"],
-            disable_channel_mixer=c["disable_channel_mixer"],
-            feature_vocabs=tuple(c["feature_vocabs"]),
-        )
+        # a truncated or corrupt header surfaces as a JSON, key or type error
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+            if header.get("version") != CHECKPOINT_VERSION:
+                raise DataFormatError(f"unsupported checkpoint version {header.get('version')}")
+            c = header["config"]
+            cfg = ModelConfig(
+                num_items=c["num_items"], max_len=c["max_len"], dim=c["dim"],
+                seq_hidden=c["seq_hidden"], ch_hidden=c["ch_hidden"], layers=c["layers"],
+                windows=tuple(c["windows"]), dropout=c["dropout"], activation=c["activation"],
+                norm_axis=c["norm_axis"],
+                disable_sequence_mixer=c["disable_sequence_mixer"],
+                disable_channel_mixer=c["disable_channel_mixer"],
+            )
+            arrays = [(name, rows, cols) for name, rows, cols in header["arrays"]]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"malformed checkpoint header: {exc!r}") from None
         params = init_params(cfg, np.random.default_rng(0))
         expected = {name: leaf for name, leaf in params.leaves()}
-        if [a[0] for a in header["arrays"]] != list(expected):
+        if [name for name, _, _ in arrays] != list(expected):
             raise DataFormatError("checkpoint array list does not match the declared config")
-        for name, rows, cols in header["arrays"]:
+        for name, rows, cols in arrays:
             leaf = expected[name]
             if (rows, cols) != leaf.data.shape:
                 raise DataFormatError(

@@ -107,10 +107,6 @@ class Tensor2:
         return matmul(self, other)
 
 
-def tensor(data, requires_grad=False):
-    return Tensor2(data, requires_grad=requires_grad)
-
-
 def _node(data, parents, backward_fn):
     """Create a graph node; skips recording when grads are off or unneeded."""
     out = Tensor2(data)

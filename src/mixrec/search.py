@@ -83,21 +83,20 @@ def swapped_weights(params, virtual):
             leaf.data = saved[name]
 
 
-def weight_gradients(batch, params, arch, model_cfg, rng, item_features=None):
+def weight_gradients(batch, params, arch, model_cfg, rng):
     """Gradients of the training loss w.r.t. every model weight (not alpha)."""
     leaves = params.leaves()
     for _, leaf in leaves:
         leaf.zero_grad()
     arch.alpha.zero_grad()
-    loss = batch_loss(batch, params, model_cfg, arch=arch, train_mode=True,
-                      rng=rng, item_features=item_features)
+    loss = batch_loss(batch, params, model_cfg, arch=arch, train_mode=True, rng=rng)
     nk.backward(loss)
     return {name: leaf.grad.copy() for name, leaf in leaves}, loss.item()
 
 
-def approx_inner(params, arch, batch, lr, model_cfg, rng, item_features=None):
+def approx_inner(params, arch, batch, lr, model_cfg, rng):
     """Virtual one-step weights W' = W - lr * grad(training loss), uncommitted."""
-    grads, _ = weight_gradients(batch, params, arch, model_cfg, rng, item_features)
+    grads, _ = weight_gradients(batch, params, arch, model_cfg, rng)
     virtual = {}
     for name, leaf in params.leaves():
         g = grads[name]
@@ -126,22 +125,20 @@ class Searcher:
         self.a_state = AdamState()
         self.arch_cfg = replace(cfg.train, learning_rate=cfg.arch_lr, weight_decay=0.0)
         self.dist = PopularityDist(dataset.item_counts)
-        self.features = dataset.item_features or None
         self.last_val_loss = None
 
     def alpha_gradient(self, val_batch, inner_batch):
         """d(validation loss)/d(alpha) at the one-step lookahead weights."""
         lr = self.cfg.train.learning_rate
         virtual = approx_inner(self.params, self.arch, inner_batch, lr,
-                               self.model_cfg, self.dropout_rng, self.features)
+                               self.model_cfg, self.dropout_rng)
         leaves = self.params.leaves()
         with swapped_weights(self.params, virtual):
             for _, leaf in leaves:
                 leaf.zero_grad()
             self.arch.alpha.zero_grad()
             loss = batch_loss(val_batch, self.params, self.model_cfg, arch=self.arch,
-                              train_mode=True, rng=self.dropout_rng,
-                              item_features=self.features)
+                              train_mode=True, rng=self.dropout_rng)
             nk.backward(loss)
             grad = self.arch.alpha.grad.copy()
             self.last_val_loss = loss.item()
@@ -171,8 +168,7 @@ class Searcher:
                     leaf.zero_grad()
                 self.arch.alpha.zero_grad()
                 loss = batch_loss(inner_batch, self.params, self.model_cfg,
-                                  arch=self.arch, train_mode=True,
-                                  rng=self.dropout_rng, item_features=self.features)
+                                  arch=self.arch, train_mode=True, rng=self.dropout_rng)
                 nk.backward(loss)
                 return self.arch.alpha.grad.copy()
 
@@ -187,7 +183,7 @@ class Searcher:
     def weight_step(self, train_batch):
         """Update the model weights from a training mini-batch only."""
         grads, _ = weight_gradients(train_batch, self.params, self.arch,
-                                    self.model_cfg, self.dropout_rng, self.features)
+                                    self.model_cfg, self.dropout_rng)
         adam_update(self.params.leaves(), grads, self.w_state, self.cfg.train)
         freeze_padding_rows(self.params)
 

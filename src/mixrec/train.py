@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class TrainConfig:
     max_epochs: int = 100
     patience: int = 10
     negatives_per_positive: int = 1
-    dropout: float = 0.5
     weight_decay: float = 0.0
     seed: int = 0
     eval_negatives: int = 100
@@ -35,6 +34,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
 
@@ -74,18 +75,8 @@ def adam_update(named_params, grads, state, cfg):
 
 
 def freeze_padding_rows(params):
-    """Row 0 of every embedding table is the padding slot and stays zero."""
+    """Row 0 of the item embedding is the padding slot and stays zero."""
     params.item_embedding.data[PAD] = 0.0
-    for table in params.feature_embeddings:
-        table.data[0] = 0.0
-
-
-def bce_loss(pos_score, neg_scores):
-    """-log sigma(pos) - sum log(1 - sigma(neg)), in overflow-free form."""
-    def softplus(x):
-        return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
-
-    return softplus(-pos_score) + sum(softplus(s) for s in neg_scores)
 
 
 @dataclass
@@ -127,14 +118,12 @@ def make_batches(dataset, examples, batch_size, n_neg, dist, rng, split):
     return batches
 
 
-def batch_loss(batch, params, cfg, arch=None, train_mode=True, rng=None,
-               item_features=None):
+def batch_loss(batch, params, cfg, arch=None, train_mode=True, rng=None):
     """Mean cross-entropy over the batch: positive target vs drawn negatives."""
     hidden = forward_hidden(batch.inputs, params, cfg, arch=arch,
-                            train_mode=train_mode, rng=rng,
-                            item_features=item_features)
-    _, raw_pos = score_items(hidden, batch.targets[:, None], params)
-    _, raw_neg = score_items(hidden, batch.negatives, params)
+                            train_mode=train_mode, rng=rng)
+    raw_pos = score_items(hidden, batch.targets[:, None], params)
+    raw_neg = score_items(hidden, batch.negatives, params)
     per_example = nk.add(nk.softplus(nk.scale(raw_pos, -1.0)),
                          nk.sum_cols(nk.softplus(raw_neg)))
     return nk.mean_all(per_example)
@@ -162,7 +151,6 @@ def fit(dataset, params, model_cfg, cfg, arch=None, eval_seed=0):
     dist = PopularityDist(dataset.item_counts)
     ss = np.random.SeedSequence(cfg.seed)
     batch_rng, dropout_rng = (np.random.default_rng(s) for s in ss.spawn(2))
-    features = dataset.item_features or None
 
     leaves = params.leaves()
     state = AdamState()
@@ -180,7 +168,7 @@ def fit(dataset, params, model_cfg, cfg, arch=None, eval_seed=0):
         total = 0.0
         for batch in batches:
             loss = batch_loss(batch, params, model_cfg, arch=arch,
-                              train_mode=True, rng=dropout_rng, item_features=features)
+                              train_mode=True, rng=dropout_rng)
             value = loss.item()
             if not math.isfinite(value):
                 raise nk.NumericalError(f"training loss became non-finite at epoch {epoch}")

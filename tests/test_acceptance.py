@@ -27,7 +27,7 @@ from mixrec import train as tr
 PLANTED_A = dict(users=200, seq_len=30, vocab=50, k_star=2, noise=0.0, gen_seed=0)
 A_MODEL = dict(dim=16, seq_hidden=16, ch_hidden=16, layers=1, dropout=0.5)
 A_MAX_LEN = 8
-A_TRAIN = dict(learning_rate=5e-3, batch_size=128, eval_negatives=20, dropout=0.5)
+A_TRAIN = dict(learning_rate=5e-3, batch_size=128, eval_negatives=20)
 A_SEARCH_EPOCHS = 20
 A_ORACLE_EPOCHS = 10
 A_ARCH_LR = 3e-3
@@ -95,8 +95,8 @@ class TestCriterion1GradientCorrectness:
 
         def loss():
             h = m.forward_hidden(inputs, params, cfg, arch)
-            _, rp = m.score_items(h, pos, params)
-            _, rn = m.score_items(h, neg, params)
+            rp = m.score_items(h, pos, params)
+            rn = m.score_items(h, neg, params)
             return nk.mean_all(nk.add(nk.softplus(nk.scale(rp, -1.0)),
                                       nk.sum_cols(nk.softplus(rn))))
 
@@ -202,7 +202,7 @@ class TestSupplementaryNoisyRecovery:
                 windows=(1, 2, 4), arch_lr=3e-3,
                 train=tr.TrainConfig(learning_rate=5e-3, batch_size=128,
                                      max_epochs=25, patience=50, seed=seed,
-                                     eval_negatives=20, dropout=0.2))
+                                     eval_negatives=20))
             result, _ = se.run_search(ds, drop_cfg, scfg)
             search_picks.append(result.selected_k)
         ok = oracle_picks.count(2) >= 4 and search_picks.count(2) >= 3

@@ -1,11 +1,13 @@
 """Command-line behavior: dispatch, config precedence, exit codes, artifacts."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from mixrec import cli
+from mixrec.train import TrainConfig
 
 
 FAST = ["--max-len", "5", "--dim", "8", "--seq-hidden", "8", "--ch-hidden", "8",
@@ -60,6 +62,22 @@ class TestDispatchAndExitCodes:
                          "--out", str(tmp_path / "out")] + FAST)
         assert code == 2
 
+    @pytest.mark.parametrize("conf, flags", [
+        ("dim = abc\n", []),
+        ("learning_rate = fast\n", []),
+        ("", ["--k", "9"]),  # the dataset's max_len is 5
+        ("", ["--dim", "0"]),
+        ("", ["--layers", "0"]),
+        ("", ["--batch-size", "0"]),
+    ], ids=["int-in-file", "float-in-file", "window-past-max-len", "dim-0", "layers-0",
+            "batch-size-0"])
+    def test_bad_config_value_is_usage_error(self, tmp_path, conf, flags):
+        (tmp_path / "run.conf").write_text(conf)
+        code = cli.main(["train", "--dataset", str(synth(tmp_path)), "--k", "2",
+                         "--config", str(tmp_path / "run.conf"),
+                         "--out", str(tmp_path / "out")] + FAST + flags)
+        assert code == 2
+
 
 class TestConfigResolution:
     def test_file_overrides_defaults_and_flags_override_file(self, tmp_path):
@@ -75,6 +93,9 @@ class TestConfigResolution:
         assert resolved["vocab"] == "25"     # flag wins
         assert resolved["len"] == "30"       # built-in default
         assert resolved["seed"] == "0"
+
+    def test_train_keys_are_exactly_the_train_config_fields(self):
+        assert set(cli.TRAIN_KEYS) == {f.name for f in dataclasses.fields(TrainConfig)}
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -183,6 +204,53 @@ class TestPipelines:
                          "--out", str(out)]) == 0
         summary = json.loads((out / "bench_summary.json").read_text())
         assert "exponent" in summary
+
+
+class TestArtifacts:
+    def trained(self, tmp_path):
+        dataset = synth(tmp_path)
+        assert cli.main(["train", "--dataset", str(dataset), "--k", "2",
+                         "--out", str(tmp_path / "train")] + FAST) == 0
+        return dataset, tmp_path / "train" / "checkpoint.bin"
+
+    def evaluate(self, tmp_path, dataset, checkpoint, name):
+        code = cli.main(["eval", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                         "--eval-negatives", "8", "--out", str(tmp_path / name)])
+        metrics = tmp_path / name / "metrics.json"
+        return code, json.loads(metrics.read_text()) if code == 0 else None
+
+    def test_truncated_artifacts_are_data_errors(self, tmp_path):
+        dataset, checkpoint = self.trained(tmp_path)
+        ds_bytes, ck_bytes = dataset.read_bytes(), checkpoint.read_bytes()
+        header_end = ds_bytes.index(b"\n")
+        cases = [("dataset", n) for n in (0, 40, header_end + 5, 300)]
+        cases += [("checkpoint", n) for n in (40, 60, 200, len(ck_bytes) - 8)]
+        for i, (kind, n) in enumerate(cases):
+            raw = ds_bytes if kind == "dataset" else ck_bytes
+            assert n < len(raw) and raw[n - 1:n] != b"\n", (kind, n)  # cut mid-record
+            cut = tmp_path / f"cut{i}"
+            cut.write_bytes(raw[:n])
+            pair = (cut, checkpoint) if kind == "dataset" else (dataset, cut)
+            code, _ = self.evaluate(tmp_path, *pair, name=f"eval{i}")
+            assert code == 3, (kind, n)
+
+    def test_headers_with_empty_feature_keys_still_load(self, tmp_path):
+        # earlier releases wrote "num_feature_fields": 0 into the dataset
+        # header and "feature_vocabs": [] into the checkpoint config
+        dataset, checkpoint = self.trained(tmp_path)
+        head, rest = dataset.read_text().split("\n", 1)
+        header = dict(json.loads(head), num_feature_fields=0)
+        old_dataset = tmp_path / "old_dataset.jsonl"
+        old_dataset.write_text(json.dumps(header, sort_keys=True) + "\n" + rest)
+        magic, head, payload = checkpoint.read_bytes().split(b"\n", 2)
+        header = json.loads(head)
+        header["config"]["feature_vocabs"] = []
+        old_checkpoint = tmp_path / "old_checkpoint.bin"
+        old_checkpoint.write_bytes(
+            magic + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        old = self.evaluate(tmp_path, old_dataset, old_checkpoint, "old")
+        assert old[0] == 0
+        assert old == self.evaluate(tmp_path, dataset, checkpoint, "new")
 
 
 class TestDeterminism:

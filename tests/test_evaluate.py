@@ -51,6 +51,7 @@ class TestMetricsAtN:
         assert out.hr == 1.0
         assert abs(out.ndcg - 0.5) <= 1e-12  # 1/log2(4)
         assert abs(out.mrr - 1.0 / 3.0) <= 1e-12
+        assert type(out.hr) is type(out.ndcg) is type(out.mrr) is float
 
     def test_rank_past_cutoff_scores_zero(self):
         out = ev.metrics_at_n([11], 10)
@@ -79,6 +80,7 @@ class TestMetricsAtN:
         assert abs(out.hr - hr) <= 1e-12
         assert abs(out.ndcg - ndcg) <= 1e-12
         assert abs(out.mrr - mrr) <= 1e-12
+        assert type(out.ndcg) is type(out.mrr) is float  # numpy ranks in, floats out
 
 
 def planted_dataset(users=30, vocab=40, seed=0, max_len=6):

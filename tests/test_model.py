@@ -73,27 +73,6 @@ class TestEmbed:
         with pytest.raises(LookupError):
             m.embed(np.array([[99]]), params, cfg)
 
-    def test_feature_fusion_with_averaging_weights(self):
-        cfg = toy_cfg(feature_vocabs=(5, 5))
-        params = m.init_params(cfg, np.random.default_rng(0))
-        d = cfg.dim
-        # fusion = [I/2, I/2], zero bias: output is the mean of both feature rows
-        params.feature_fusion.data[...] = np.hstack([np.eye(d) / 2, np.eye(d) / 2])
-        params.feature_bias.data[...] = 0.0
-        feats = {4: (2, 3)}
-        out = m.embed(np.array([[4]]), params, cfg, item_features=feats)
-        expected = 0.5 * (params.feature_embeddings[0].data[2]
-                          + params.feature_embeddings[1].data[3])
-        np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
-
-    def test_feature_path_keeps_padding_zero(self):
-        cfg = toy_cfg(feature_vocabs=(5,))
-        params = m.init_params(cfg, np.random.default_rng(0))
-        params.feature_bias.data[...] = 3.0  # bias must not leak into padding rows
-        out = m.embed(np.array([[0, 4]]), params, cfg, item_features={4: (1,)})
-        np.testing.assert_array_equal(out.data[0], 0.0)
-        assert np.abs(out.data[1]).sum() > 0
-
 
 class TestSequenceMixer:
     def test_zero_inner_path_is_identity(self):
@@ -325,23 +304,24 @@ class TestScoreItems:
         params = m.init_params(cfg, np.random.default_rng(4))
         params.item_embedding.data[2] = params.item_embedding.data[5]
         h = nk.Tensor2(np.random.default_rng(5).normal(size=(1, cfg.dim)))
-        probs, _ = m.score_items(h, [2, 5], params)
-        np.testing.assert_allclose(probs.data, [[0.5, 0.5]], atol=1e-12)
+        raw = m.score_items(h, [2, 5], params)
+        assert raw.shape == (1, 2)
+        assert raw.data[0, 0] == raw.data[0, 1]
 
     def test_zero_hidden_is_uniform(self):
         cfg = toy_cfg()
         params = m.init_params(cfg, np.random.default_rng(6))
-        probs, _ = m.score_items(nk.Tensor2(np.zeros((1, cfg.dim))), [1, 2, 3, 4], params)
-        np.testing.assert_allclose(probs.data, 0.25, atol=1e-12)
+        raw = m.score_items(nk.Tensor2(np.zeros((1, cfg.dim))), [1, 2, 3, 4], params)
+        np.testing.assert_array_equal(raw.data, np.zeros((1, 4)))
 
     def test_hand_softmax(self):
         cfg = toy_cfg(dim=2)
         params = m.init_params(cfg, np.random.default_rng(7))
         params.item_embedding.data[1] = [2.0, 0.0]
         params.item_embedding.data[2] = [0.0, 5.0]
-        probs, raw = m.score_items(nk.Tensor2([[1.0, 0.0]]), [1, 2], params)
+        raw = m.score_items(nk.Tensor2([[1.0, 0.0]]), [1, 2], params)
         np.testing.assert_allclose(raw.data, [[2.0, 0.0]], atol=1e-14)
-        np.testing.assert_allclose(probs.data, [[0.8808, 0.1192]], atol=1e-4)
+        np.testing.assert_allclose(nk.softmax(raw).data, [[0.8808, 0.1192]], atol=1e-4)
 
     def test_empty_candidates_rejected(self):
         cfg = toy_cfg()
@@ -360,8 +340,8 @@ class TestFullForward:
         arch = m.init_arch(cfg)
         h = m.forward_hidden(np.array([[0, 0, 1, 2, 3, 4]]), params, cfg, arch)
         np.testing.assert_array_equal(h.data, 0.0)
-        probs, _ = m.score_items(h, [1, 2, 3], params)
-        np.testing.assert_allclose(probs.data, 1.0 / 3.0, atol=1e-12)
+        raw = m.score_items(h, [1, 2, 3], params)
+        np.testing.assert_array_equal(raw.data, np.zeros((1, 3)))
 
     def test_train_mode_deterministic_given_seed(self):
         cfg = toy_cfg(dropout=0.5)
@@ -381,7 +361,7 @@ class TestFullForward:
         arch = m.init_arch(cfg)
         inputs = np.array([[1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]])
         h = m.forward_hidden(inputs, params, cfg, arch)
-        _, raw = m.score_items(h, np.array([[1, 2], [3, 4]]), params)
+        raw = m.score_items(h, np.array([[1, 2], [3, 4]]), params)
         loss = nk.mean_all(nk.softplus(raw))
         for _, leaf in params.leaves():
             leaf.zero_grad()
@@ -411,8 +391,8 @@ class TestFullForward:
 
         def loss():
             h = m.forward_hidden(inputs, params, cfg, arch)
-            _, raw_pos = m.score_items(h, pos, params)
-            _, raw_neg = m.score_items(h, neg, params)
+            raw_pos = m.score_items(h, pos, params)
+            raw_neg = m.score_items(h, neg, params)
             return nk.mean_all(nk.add(nk.softplus(nk.scale(raw_pos, -1.0)),
                                       nk.sum_all(nk.softplus(raw_neg))))
 

@@ -12,34 +12,6 @@ from mixrec import numkit as nk
 from mixrec import train as tr
 
 
-class TestBceLoss:
-    def test_symmetric_zero_scores(self):
-        assert abs(tr.bce_loss(0.0, [0.0]) - 2.0 * math.log(2.0)) <= 1e-6
-
-    def test_saturated_scores_vanish(self):
-        assert tr.bce_loss(50.0, [-50.0]) < 1e-9
-
-    def test_extreme_scores_stay_finite(self):
-        out = tr.bce_loss(-1000.0, [700.0, -700.0])
-        assert math.isfinite(out)
-
-    def test_nonnegative_on_random_scores(self):
-        rng = np.random.default_rng(0)
-        for _ in range(300):
-            pos = float(rng.normal() * 10)
-            negs = rng.normal(size=rng.integers(0, 5)) * 10
-            assert tr.bce_loss(pos, list(negs)) >= 0.0
-
-    def test_matches_naive_formula_in_safe_range(self):
-        rng = np.random.default_rng(1)
-        sig = lambda x: 1.0 / (1.0 + math.exp(-x))
-        for _ in range(100):
-            pos = float(rng.uniform(-8, 8))
-            negs = list(rng.uniform(-8, 8, size=3))
-            naive = -(math.log(sig(pos)) + sum(math.log(1.0 - sig(s)) for s in negs))
-            assert abs(tr.bce_loss(pos, negs) - naive) <= 1e-9
-
-
 class TestAdam:
     def one_param(self, value):
         return [("w", nk.Tensor2([[value]], requires_grad=True))]
@@ -189,8 +161,7 @@ class TestFit:
             ds, cfg = planted_setup()
             params = m.init_params(cfg, np.random.default_rng(12))
             tcfg = tr.TrainConfig(learning_rate=2e-3, max_epochs=3, patience=10,
-                                  batch_size=64, seed=13, eval_negatives=10,
-                                  dropout=0.3)
+                                  batch_size=64, seed=13, eval_negatives=10)
             cfg2 = m.ModelConfig(**{**cfg.__dict__, "dropout": 0.3})
             result = tr.fit(ds, params, cfg2, tcfg)
             outs.append((params.copy_data(), result.trace))
