@@ -159,6 +159,21 @@ def _train_config(cfg):
         raise UsageError(f"train config: {exc}") from None
 
 
+def _search_config(cfg, windows, **kw):
+    train = _train_config(cfg)
+    try:
+        return SearchConfig(windows=windows, arch_lr=cfg["arch_lr"], train=train, **kw)
+    except ValueError as exc:
+        raise UsageError(f"search config: {exc}") from None
+
+
+def _build_sequences(log, max_len):
+    try:
+        return build_sequences(log, max_len)
+    except ValueError as exc:  # max_len below 2
+        raise UsageError(str(exc)) from None
+
+
 def _load_dataset(path):
     if not Path(path).exists():
         raise DataError(f"dataset file not found: {path}")
@@ -178,8 +193,11 @@ def cmd_ingest(args):
     fmt = (ParseFormat.movielens_1m() if cfg["format"] == "movielens"
            else ParseFormat(delimiter=cfg["delimiter"], header=cfg["header"]))
     log = parse_interactions(args.input, fmt)
-    log = filter_users(log, cfg["min_interactions"])
-    dataset = build_sequences(log, cfg["max_len"])
+    try:
+        log = filter_users(log, cfg["min_interactions"])
+    except ValueError as exc:  # min_interactions below 1
+        raise UsageError(str(exc)) from None
+    dataset = _build_sequences(log, cfg["max_len"])
     dataset.save(out / "dataset.jsonl")
     write_resolved(out, cfg)
     summary = {"events": len(log.events), "users": log.num_users,
@@ -195,7 +213,7 @@ def cmd_synth(args):
     rng = np.random.default_rng(cfg["seed"])
     log = synthesize_log(cfg["users"], cfg["len"], cfg["vocab"], cfg["kstar"],
                          cfg["noise"], rng)
-    dataset = build_sequences(log, cfg["max_len"])
+    dataset = _build_sequences(log, cfg["max_len"])
     dataset.save(out / "dataset.jsonl")
     write_resolved(out, cfg)
     print(json.dumps({"users": log.num_users, "items": log.num_items,
@@ -209,8 +227,7 @@ def cmd_search(args):
     dataset = _load_dataset(args.dataset)
     windows = _parse_windows(cfg["K"])
     model_cfg = _model_config(cfg, dataset.num_items, windows, dataset.max_len)
-    search_cfg = SearchConfig(windows=windows, arch_lr=cfg["arch_lr"],
-                              mode=cfg["search_mode"], train=_train_config(cfg))
+    search_cfg = _search_config(cfg, windows, mode=cfg["search_mode"])
     result, _ = run_search(dataset, model_cfg, search_cfg)
     (out / "search_result.json").write_text(result.to_json() + "\n")
     write_trace(out / "search_trace.jsonl", result.trace)
@@ -337,8 +354,7 @@ def cmd_oracle(args):
     dataset = _load_dataset(args.dataset)
     windows = _parse_windows(cfg["K"])
     model_cfg = _model_config(cfg, dataset.num_items, windows, dataset.max_len)
-    search_cfg = SearchConfig(windows=windows, arch_lr=cfg["arch_lr"],
-                              train=_train_config(cfg))
+    search_cfg = _search_config(cfg, windows)
     result = exhaustive_oracle(dataset, model_cfg, search_cfg)
     record = {"best_k": result.best_k, "per_window": result.per_window,
               "wall_ms": result.wall_ms}

@@ -4,13 +4,15 @@ The leave-one-out convention: per user with n >= 3 retained events, the last
 item is the test target, the second-last the validation target, and every
 earlier position from the second item on becomes one training target over
 its own prefix. Inputs are left-padded with item index 0 to a fixed length,
-so the most recent item always sits in the final slot.
+so the most recent item always sits in the final slot. The examples are kept
+as columns (``ExampleTable``), built in time linear in the number of events.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -63,12 +65,6 @@ class InteractionLog:
     @property
     def num_items(self):
         return len(self.items) - 1
-
-    def indexed_events(self):
-        """Yield (user_idx, item_idx, timestamp) in file order."""
-        ui, ii = self.user_index, self.item_index
-        for user, item, ts, _ in self.events:
-            yield ui[user], ii[item], ts
 
 
 def parse_interactions(source, fmt=None):
@@ -135,12 +131,53 @@ def filter_users(log, min_interactions):
     return InteractionLog(events, user_index, item_index, users, items)
 
 
+SPLITS = ("train", "val", "test")  # an example's split code indexes this
+
+
 @dataclass
 class Example:
     user: int
     input: tuple  # item indices, length T, left-padded with PAD
     target: int
     split: str  # train | val | test
+
+
+@dataclass(eq=False)
+class ExampleTable:
+    """Leave-one-out examples as aligned columns over one shared item array.
+
+    ``padded`` holds each retained user's items, oldest first, after
+    ``max_len`` PADs, so row r's input is the window
+    ``padded[starts[r]:starts[r] + max_len]``. Slices, integer arrays and
+    boolean masks select rows into a table that shares ``padded``; an int
+    index, like iteration, yields one ``Example``.
+    """
+
+    users: np.ndarray    # user index per example
+    targets: np.ndarray  # target item index per example
+    splits: np.ndarray   # code into SPLITS per example
+    starts: np.ndarray   # where each example's input window begins in padded
+    padded: np.ndarray
+    max_len: int
+
+    def __len__(self):
+        return len(self.users)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            start = int(self.starts[index])
+            return Example(int(self.users[index]),
+                           tuple(self.padded[start:start + self.max_len].tolist()),
+                           int(self.targets[index]), SPLITS[self.splits[index]])
+        return ExampleTable(self.users[index], self.targets[index], self.splits[index],
+                            self.starts[index], self.padded, self.max_len)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def inputs(self):
+        """The B×T matrix of input windows, in one gather."""
+        return self.padded[self.starts[:, None] + np.arange(self.max_len)]
 
 
 @dataclass
@@ -150,11 +187,13 @@ class SequenceDataset:
     max_len: int
     num_items: int
     user_sequences: dict  # user idx -> list of item indices, oldest first
-    examples: list
+    examples: ExampleTable
     item_counts: np.ndarray  # index -> interaction count, item_counts[PAD] == 0
 
     def split_examples(self, split):
-        return [ex for ex in self.examples if ex.split == split]
+        """The examples of one split, in dataset order."""
+        code = SPLITS.index(split) if split in SPLITS else -1
+        return self.examples[self.examples.splits == code]
 
     def user_items(self, user):
         return set(self.user_sequences[user])
@@ -173,7 +212,7 @@ class SequenceDataset:
 
     @classmethod
     def load(cls, path):
-        # a truncated or corrupt file surfaces as a JSON, key or type error
+        # a truncated or corrupt file surfaces as a JSON, key, type or value error
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 header = json.loads(fh.readline())
@@ -183,48 +222,49 @@ class SequenceDataset:
                 for line in fh:
                     rec = json.loads(line)
                     sequences[rec["user"]] = list(rec["items"])
+                return _dataset_from_sequences(sequences, max_len, num_items, item_counts)
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: malformed dataset file: {exc!r}") from None
-        return _dataset_from_sequences(sequences, max_len, num_items, item_counts)
+
+
+def _run_starts(lengths):
+    """Offset of each run when runs of these lengths are laid end to end."""
+    return np.cumsum(lengths) - lengths
 
 
 def _dataset_from_sequences(sequences, max_len, num_items, item_counts):
-    examples = []
-    for user in sorted(sequences):
-        seq = sequences[user]
-        n = len(seq)
-        if n < 3:
-            continue
-        for t in range(1, n - 2):  # training prefixes, targets seq[1] .. seq[n-3]
-            examples.append(Example(user, _pad_left(seq[:t], max_len), seq[t], "train"))
-        examples.append(Example(user, _pad_left(seq[: n - 2], max_len), seq[n - 2], "val"))
-        examples.append(Example(user, _pad_left(seq[: n - 1], max_len), seq[n - 1], "test"))
+    """A user with n >= 3 items gives n - 1 examples, users in index order:
+    the prefixes before seq[1] .. seq[n-3] (train), seq[n-2] (val) and
+    seq[n-1] (test). Linear in the number of items."""
+    kept = [u for u in sorted(sequences) if len(sequences[u]) >= 3]
+    lens = np.array([len(sequences[u]) for u in kept], dtype=np.intp)
+    padded = np.fromiter(chain.from_iterable(chain([PAD] * max_len, sequences[u]) for u in kept),
+                         dtype=np.intp)
+    blocks = _run_starts(max_len + lens)  # where each user's PADs begin in padded
+
+    per_user = lens - 1
+    prefix = np.arange(per_user.sum()) - np.repeat(_run_starts(per_user), per_user) + 1
+    starts = np.repeat(blocks, per_user) + prefix  # the window ends right before seq[prefix]
+    splits = np.maximum(prefix - np.repeat(lens - 3, per_user), 0)  # train 0, val 1, test 2
+    examples = ExampleTable(np.repeat(np.array(kept, dtype=np.intp), per_user),
+                            padded[starts + max_len], splits, starts, padded, max_len)
     return SequenceDataset(max_len, num_items, sequences, examples, item_counts)
-
-
-def _pad_left(items, max_len):
-    items = items[-max_len:]
-    return tuple([PAD] * (max_len - len(items)) + list(items))
 
 
 def build_sequences(log, max_len):
     """Chronological leave-one-out split with left-padded fixed-length inputs."""
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2, got {max_len}")
-    per_user = {}
-    for order, (u, i, ts) in enumerate(log.indexed_events()):
-        per_user.setdefault(u, []).append((ts, order, i))
-    sequences = {}
-    for u, rows in per_user.items():
-        rows.sort(key=lambda r: (r[0], r[1]))  # timestamp, ties by file order
-        sequences[u] = [i for _, _, i in rows]
-
-    counts = np.zeros(log.num_items + 1, dtype=np.int64)
-    for seq in sequences.values():
-        for i in seq:
-            counts[i] += 1
-
-    retained = {u: seq for u, seq in sequences.items() if len(seq) >= 3}
+    ui, ii = log.user_index, log.item_index
+    users = np.array([ui[ev[0]] for ev in log.events], dtype=np.intp)
+    items = np.array([ii[ev[1]] for ev in log.events], dtype=np.intp)
+    stamps = np.array([ev[2] for ev in log.events])
+    # by user, then timestamp; lexsort is stable, so ties keep file order
+    flat = items[np.lexsort((stamps, users))].tolist()
+    lengths = np.bincount(users, minlength=log.num_users + 1).tolist()
+    ends = np.cumsum(lengths).tolist()
+    retained = {u: flat[ends[u] - n:ends[u]] for u, n in enumerate(lengths) if n >= 3}
+    counts = np.bincount(items, minlength=log.num_items + 1)
     return _dataset_from_sequences(retained, max_len, log.num_items, counts)
 
 

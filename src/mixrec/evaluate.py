@@ -87,14 +87,12 @@ def evaluate_split(params, cfg, dataset, split, num_negatives=100, cutoff=10,
     with nk.no_grad():
         for start in range(0, len(examples), batch_size):
             chunk = examples[start:start + batch_size]
-            inputs = np.array([ex.input for ex in chunk], dtype=np.intp)
             cands = np.empty((len(chunk), 1 + num_negatives), dtype=np.intp)
-            for i, ex in enumerate(chunk):
-                rng = example_rng(seed, ex.user, split)
-                negs = sample_negatives(dist, dataset.user_items(ex.user), num_negatives, rng)
-                cands[i, 0] = ex.target
-                cands[i, 1:] = negs
-            hidden = forward_hidden(inputs, params, cfg, arch=arch)
+            cands[:, 0] = chunk.targets
+            for i, user in enumerate(chunk.users.tolist()):
+                rng = example_rng(seed, user, split)
+                cands[i, 1:] = sample_negatives(dist, dataset.user_items(user), num_negatives, rng)
+            hidden = forward_hidden(chunk.inputs(), params, cfg, arch=arch)
             raw = score_items(hidden, cands, params)
             ranks.extend(rank_of_target(raw.data, 0).tolist())
     return metrics_at_n(ranks, cutoff)

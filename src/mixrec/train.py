@@ -105,16 +105,14 @@ def sample_training_negatives(dist, user_sets, n_neg, rng, max_rounds=200):
 
 
 def make_batches(dataset, examples, batch_size, n_neg, dist, rng, split):
-    """Shuffle examples and pack them with freshly drawn negatives."""
+    """Shuffle an example table and pack it with freshly drawn negatives."""
     order = rng.permutation(len(examples))
     batches = []
     for start in range(0, len(order), batch_size):
-        chunk = [examples[i] for i in order[start:start + batch_size]]
-        inputs = np.array([ex.input for ex in chunk], dtype=np.intp)
-        targets = np.array([ex.target for ex in chunk], dtype=np.intp)
-        user_sets = [dataset.user_items(ex.user) for ex in chunk]
+        chunk = examples[order[start:start + batch_size]]
+        user_sets = [dataset.user_items(user) for user in chunk.users.tolist()]
         negatives = sample_training_negatives(dist, user_sets, n_neg, rng)
-        batches.append(Batch(inputs, targets, negatives, split))
+        batches.append(Batch(chunk.inputs(), chunk.targets, negatives, split))
     return batches
 
 

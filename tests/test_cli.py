@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mixrec
 from mixrec import cli
 from mixrec.train import TrainConfig
 
@@ -77,6 +82,35 @@ class TestDispatchAndExitCodes:
                          "--config", str(tmp_path / "run.conf"),
                          "--out", str(tmp_path / "out")] + FAST + flags)
         assert code == 2
+
+    @pytest.mark.parametrize("command, message", [
+        (["synth", "--max-len", "1"], "max_len"),
+        (["ingest", "--max-len", "1"], "max_len"),
+        (["ingest", "--min-interactions", "0"], "min_interactions"),
+        (["search", "--config", "{conf}"], "search mode"),
+    ], ids=["synth-max-len-1", "ingest-max-len-1", "ingest-min-interactions-0",
+            "search-mode-in-file"])
+    def test_bad_data_or_search_setting_is_usage_error(self, tmp_path, capsys, command,
+                                                       message):
+        (tmp_path / "run.conf").write_text("search_mode = bogus\n")
+        (tmp_path / "log.tsv").write_text("".join(f"u{t % 2}\ti{t}\t{t}\n" for t in range(12)))
+        inputs = {"synth": [],
+                  "ingest": ["--input", str(tmp_path / "log.tsv"), "--min-interactions", "3"],
+                  "search": ["--dataset", str(synth(tmp_path))] + FAST}[command[0]]
+        argv = [command[0]] + inputs + [arg.format(conf=tmp_path / "run.conf")
+                                        for arg in command[1:]]
+        capsys.readouterr()
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(mixrec.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "mixrec", "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert "synth" in done.stdout
 
 
 class TestConfigResolution:

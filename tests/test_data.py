@@ -1,6 +1,8 @@
 """Tests for log parsing, splitting, negative sampling, and synthetic logs."""
 
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,7 +107,7 @@ class TestBuildSequences:
     def test_two_item_user_contributes_nothing(self):
         rows = [("u", "a", 1), ("u", "b", 2)]
         ds = d.build_sequences(log_from_rows(rows), max_len=4)
-        assert ds.examples == []
+        assert list(ds.examples) == []
 
     def test_truncation_keeps_most_recent(self):
         rows = [("u", item, t) for t, item in enumerate("abcdef")]
@@ -157,13 +159,86 @@ class TestBuildSequences:
         path = tmp_path / "ds.jsonl"
         ds.save(path)
         back = d.SequenceDataset.load(path)
-        assert back.examples == ds.examples
+        assert list(back.examples) == list(ds.examples)
         assert back.user_sequences == ds.user_sequences
         np.testing.assert_array_equal(back.item_counts, ds.item_counts)
         # and a second save is byte-identical
         path2 = tmp_path / "ds2.jsonl"
         back.save(path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9), st.integers(0, 4)),
+                    max_size=80),
+           st.integers(2, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_list_based_builder(self, rows, max_len):
+        # few timestamps make ties common; few events leave some users below 3
+        log = log_from_rows([(f"u{u}", f"i{i}", ts) for u, i, ts in rows])
+        want, counts, sequences = list_build_sequences(log, max_len)
+        ds = d.build_sequences(log, max_len)
+        assert list(ds.examples) == want
+        np.testing.assert_array_equal(ds.item_counts, counts)
+        assert ds.item_counts.dtype == counts.dtype
+        assert ds.user_sequences == sequences
+        for split in d.SPLITS:
+            chosen = [ex for ex in want if ex.split == split]
+            table = ds.split_examples(split)
+            assert list(table) == chosen
+            np.testing.assert_array_equal(
+                table.inputs(), np.array([ex.input for ex in chosen], dtype=np.intp)
+                .reshape(len(chosen), max_len))
+        with tempfile.TemporaryDirectory() as tmp:
+            ds.save(Path(tmp) / "ds.jsonl")
+            back = d.SequenceDataset.load(Path(tmp) / "ds.jsonl")
+        assert list(back.examples) == want
+        np.testing.assert_array_equal(back.item_counts, counts)
+
+    def test_table_rows_and_selections(self):
+        rows = [("u", item, t) for t, item in enumerate("abcdef")]
+        ds = d.build_sequences(log_from_rows(rows), max_len=3)
+        table = ds.examples
+        assert len(table) == 5
+        assert table[-1] == d.Example(1, (3, 4, 5), 6, "test")
+        assert type(table[0].target) is int and type(table[0].input[0]) is int
+        for part in (table[1:3], table[np.array([4, 0])], table[table.targets > 4]):
+            assert part.padded is table.padded
+        assert [ex.target for ex in table[np.array([4, 0])]] == [6, 2]
+        with pytest.raises(IndexError):
+            table[5]
+
+
+def pad_left(items, max_len):
+    items = items[-max_len:]
+    return tuple([d.PAD] * (max_len - len(items)) + list(items))
+
+
+def list_build_sequences(log, max_len):
+    """The builder as it was before examples became columns: a per-user sort
+    of (timestamp, file order, item) rows, then one padded tuple and one
+    ``Example`` per prefix. Returns the examples, the item counts and the
+    retained sequences."""
+    per_user = {}
+    for order, (user, item, ts, _) in enumerate(log.events):
+        u, i = log.user_index[user], log.item_index[item]
+        per_user.setdefault(u, []).append((ts, order, i))
+    sequences = {}
+    for u, rows in per_user.items():
+        rows.sort(key=lambda r: (r[0], r[1]))  # timestamp, ties by file order
+        sequences[u] = [i for _, _, i in rows]
+    counts = np.zeros(log.num_items + 1, dtype=np.int64)
+    for seq in sequences.values():
+        for i in seq:
+            counts[i] += 1
+    retained = {u: seq for u, seq in sequences.items() if len(seq) >= 3}
+    examples = []
+    for user in sorted(retained):
+        seq = retained[user]
+        n = len(seq)
+        for t in range(1, n - 2):
+            examples.append(d.Example(user, pad_left(seq[:t], max_len), seq[t], "train"))
+        examples.append(d.Example(user, pad_left(seq[:n - 2], max_len), seq[n - 2], "val"))
+        examples.append(d.Example(user, pad_left(seq[:n - 1], max_len), seq[n - 1], "test"))
+    return examples, counts, retained
 
 
 class TestSampleNegatives:
@@ -297,7 +372,7 @@ class TestSyntheticLog:
     def test_timestamps_strictly_increase_per_user(self):
         log = d.synthesize_log(3, 10, 8, 1, 0.5, np.random.default_rng(3))
         per_user = {}
-        for u, i, ts in log.indexed_events():
+        for u, _, ts, _ in log.events:
             per_user.setdefault(u, []).append(ts)
         for stamps in per_user.values():
             assert all(b > a for a, b in zip(stamps, stamps[1:]))

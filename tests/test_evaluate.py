@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from mixrec import data as d
 from mixrec import evaluate as ev
 from mixrec import model as m
+from mixrec import train as tr
 
 
 class TestRankOfTarget:
@@ -156,7 +158,50 @@ class TestEvaluateSplit:
 
     def test_empty_split_rejected(self):
         ds = planted_dataset()
-        ds.examples = [ex for ex in ds.examples if ex.split != "test"]
+        ds.examples = ds.examples[ds.examples.splits != d.SPLITS.index("test")]
         cfg, params = tiny_model(ds)
         with pytest.raises(d.DataError):
             ev.evaluate_split(params, cfg, ds, "test", num_negatives=5, seed=0)
+
+    def test_slices_pool_to_the_whole_split(self, monkeypatch):
+        # the benchmark's eval_ml1m ranks the val split in 768-example slices
+        # of replace(ds, examples=...) and pools them, weighted by count
+        ds = planted_dataset(users=1700)
+        cfg, params = tiny_model(ds)
+        seen = []
+        metrics_at_n = ev.metrics_at_n
+        monkeypatch.setattr(ev, "metrics_at_n",
+                            lambda ranks, n: seen.append(list(ranks)) or metrics_at_n(ranks, n))
+        whole = ev.evaluate_split(params, cfg, ds, "val", num_negatives=10, seed=4)
+        val = ds.split_examples("val")
+        sums, count = [0.0, 0.0, 0.0], 0
+        for i in range(0, len(val), 768):
+            part = ev.evaluate_split(params, cfg, replace(ds, examples=val[i:i + 768]), "val",
+                                     num_negatives=10, seed=4)
+            count += part.count
+            for k, v in enumerate((part.hr, part.ndcg, part.mrr)):
+                sums[k] += v * part.count
+        assert len(seen) == 4 and [len(r) for r in seen[1:]] == [768, 768, 164]
+        assert sum(seen[1:], []) == seen[0]  # every example ranks the same
+        assert count == whole.count == 1700
+        pooled = [v / count for v in sums]
+        assert pooled == pytest.approx([whole.hr, whole.ndcg, whole.mrr], rel=1e-12, abs=0)
+
+
+class TestMakeBatches:
+    def test_pinned_first_batch(self):
+        # recorded from the list-of-Example implementation: the table must
+        # give the same shuffle, inputs, targets and negatives
+        ds = planted_dataset()
+        batches = tr.make_batches(ds, ds.split_examples("train"), 5, 2,
+                                  d.PopularityDist(ds.item_counts),
+                                  np.random.default_rng(22), "train")
+        assert len(batches) == 54
+        first = batches[0]
+        assert first.inputs.dtype == first.targets.dtype == np.intp
+        assert first.inputs.tolist() == [[31, 23, 7, 15, 31, 23], [0, 13, 27, 15, 31, 23],
+                                         [0, 0, 0, 0, 0, 30], [0, 0, 0, 0, 0, 39],
+                                         [11, 23, 7, 15, 31, 23]]
+        assert first.targets.tolist() == [7, 7, 21, 39, 7]
+        assert first.negatives.tolist() == [[8, 17], [3, 22], [5, 26], [31, 5], [39, 3]]
+        assert first.split == "train"

@@ -150,7 +150,7 @@ class TestFit:
 
     def test_empty_train_split_rejected(self):
         ds, cfg = planted_setup()
-        ds.examples = [ex for ex in ds.examples if ex.split != "train"]
+        ds.examples = ds.examples[ds.examples.splits != d.SPLITS.index("train")]
         params = m.init_params(cfg, np.random.default_rng(11))
         with pytest.raises(d.DataError):
             tr.fit(ds, params, cfg, tr.TrainConfig())
