@@ -18,6 +18,16 @@ from scipy.special import erf
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# scipy's erf (cephes ndtr.c) computes u * T(z) / U(z), z = u*u, for |u| <= 1,
+# with T by Horner and U monic; ``_erf_small`` repeats it operation by operation.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+# elements per chunk of the elementwise GELU passes: each float64 scratch
+# buffer (128 KB) stays in cache across the dozen passes over it
+_CHUNK = 1 << 14
+
 
 class ShapeError(ValueError):
     """Operands have incompatible shapes."""
@@ -117,12 +127,21 @@ def _node(data, parents, backward_fn):
     return out
 
 
-def _accum(t, g):
+def _accum(t, g, owned=False):
+    """Add ``g`` into ``t.grad``; the first contribution sets it.
+
+    ``owned`` marks an array the calling op has just created and holds no
+    other reference to; it becomes the buffer as is. Any other ``g`` (a view
+    of the upstream gradient, or one array handed to two parents) is copied
+    into a fresh C-ordered buffer, ``g + 0.0``, which like ``0 + g`` turns
+    -0.0 into +0.0.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g if owned else np.add(g, 0.0, order="C")
+    else:
+        t.grad += g
 
 
 def backward(root):
@@ -183,21 +202,24 @@ def sub(a, b):
     _check_broadcast(a, b, "sub")
     def bwd(g):
         _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, -_unbroadcast(g, b.data.shape))
+        _accum(b, -_unbroadcast(g, b.data.shape), owned=True)
     return _node(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b):
     _check_broadcast(a, b, "mul")
     def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        # a constant operand (a dropout or padding mask) gets no product
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
     return _node(a.data * b.data, (a, b), bwd)
 
 
 def scale(a, s):
     def bwd(g):
-        _accum(a, g * s)
+        _accum(a, g * s, owned=True)
     return _node(a.data * s, (a,), bwd)
 
 
@@ -205,8 +227,8 @@ def matmul(a, b):
     if a.cols != b.rows:
         raise ShapeError(f"matmul: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     def bwd(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        _accum(a, g @ b.data.T, owned=True)
+        _accum(b, a.data.T @ g, owned=True)
     return _node(a.data @ b.data, (a, b), bwd)
 
 
@@ -241,14 +263,14 @@ def take_rows(a, indices):
         if a.requires_grad:
             buf = np.zeros_like(a.data)
             np.add.at(buf, idx, g)
-            _accum(a, buf)
+            _accum(a, buf, owned=True)
     return _node(a.data[idx], (a,), bwd)
 
 
 def repeat_rows(a, times):
     """Repeat each row ``times`` consecutive times."""
     def bwd(g):
-        _accum(a, g.reshape(a.rows, times, a.cols).sum(axis=1))
+        _accum(a, g.reshape(a.rows, times, a.cols).sum(axis=1), owned=True)
     return _node(np.repeat(a.data, times, axis=0), (a,), bwd)
 
 
@@ -267,7 +289,7 @@ def slice_cols(a, start, stop):
         if a.requires_grad:
             buf = np.zeros_like(a.data)
             buf[:, start:stop] = g
-            _accum(a, buf)
+            _accum(a, buf, owned=True)
     return _node(a.data[:, start:stop].copy(), (a,), bwd)
 
 
@@ -276,14 +298,14 @@ def row_dot(a, b):
     if a.data.shape != b.data.shape:
         raise ShapeError(f"row_dot: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
     def bwd(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        _accum(a, g * b.data, owned=True)
+        _accum(b, g * a.data, owned=True)
     return _node((a.data * b.data).sum(axis=1, keepdims=True), (a, b), bwd)
 
 
 def sum_all(a):
     def bwd(g):
-        _accum(a, np.full_like(a.data, g[0, 0]))
+        _accum(a, np.full_like(a.data, g[0, 0]), owned=True)
     return _node(np.array([[a.data.sum()]]), (a,), bwd)
 
 
@@ -297,23 +319,81 @@ def sum_cols(a):
 def mean_all(a):
     n = a.data.size
     def bwd(g):
-        _accum(a, np.full_like(a.data, g[0, 0] / n))
+        _accum(a, np.full_like(a.data, g[0, 0] / n), owned=True)
     return _node(np.array([[a.data.mean()]]), (a,), bwd)
 
 
+def _chunks(n):
+    for lo in range(0, n, _CHUNK):
+        yield slice(lo, min(lo + _CHUNK, n))
+
+
+def _erf_small(u, z, p, q):
+    """Write into ``p`` scipy's erf of ``u``, bit for bit where ``z = u*u <= 1``.
+
+    ``q`` is scratch. Elements with z > 1 (or NaN) come out meaningless; the
+    caller replaces them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # only where z > 1
+        np.multiply(z, _ERF_T[0], out=p)
+        p += _ERF_T[1]
+        for c in _ERF_T[2:]:
+            p *= z
+            p += c
+        np.add(z, _ERF_U[0], out=q)
+        for c in _ERF_U[1:]:
+            q *= z
+            q += c
+        p *= u
+        p /= q
+
+
 def gelu(a):
-    """x * Phi(x) with Phi the exact (erf-based) standard normal CDF."""
+    """x * Phi(x) with Phi the exact (erf-based) standard normal CDF.
+
+    Bit for bit ``x * (0.5 * (1 + scipy.special.erf(x / sqrt(2))))``: where
+    |x| <= sqrt(2) scipy's own polynomial runs in numpy (``_erf_small``), a
+    cache-sized chunk at a time; the rest, with NaN and +-inf, calls scipy.
+    """
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    xf = x.reshape(-1)
+    cdf = np.empty_like(x)
+    out = np.empty_like(x)
+    cf, of = cdf.reshape(-1), out.reshape(-1)
+    n = min(xf.size, _CHUNK)
+    u, z, q = np.empty(n), np.empty(n), np.empty(n)
+    for sl in _chunks(xf.size):
+        m = sl.stop - sl.start
+        uc, zc, qc, ec = u[:m], z[:m], q[:m], cf[sl]
+        np.multiply(xf[sl], _INV_SQRT2, out=uc)
+        np.multiply(uc, uc, out=zc)
+        _erf_small(uc, zc, ec, qc)
+        far = np.flatnonzero(~(zc <= 1.0))  # NaN included
+        ec[far] = erf(uc[far])
+        ec += 1.0
+        ec *= 0.5
+        np.multiply(xf[sl], ec, out=of[sl])
+
     def bwd(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        _accum(a, g * (cdf + x * pdf))
-    return _node(x * cdf, (a,), bwd)
+        # g * (cdf + x * (exp((-0.5 * x) * x) * 1/sqrt(2 pi))), in this order
+        d = np.empty_like(x)
+        df, gf = d.reshape(-1), g.reshape(-1)
+        for sl in _chunks(xf.size):
+            xc, dc = xf[sl], df[sl]
+            np.multiply(xc, -0.5, out=dc)
+            dc *= xc
+            np.exp(dc, out=dc)
+            dc *= _INV_SQRT2PI
+            dc *= xc
+            dc += cf[sl]
+            dc *= gf[sl]
+        _accum(a, d, owned=True)
+    return _node(out, (a,), bwd)
 
 
 def relu(a):
     def bwd(g):
-        _accum(a, g * (a.data > 0))
+        _accum(a, g * (a.data > 0), owned=True)
     return _node(np.maximum(a.data, 0.0), (a,), bwd)
 
 
@@ -332,7 +412,7 @@ def softplus(a):
     x = a.data
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
     def bwd(g):
-        _accum(a, g * sigmoid_values(x))
+        _accum(a, g * sigmoid_values(x), owned=True)
     return _node(out, (a,), bwd)
 
 
@@ -345,7 +425,7 @@ def softmax(a):
     p = e / e.sum(axis=1, keepdims=True)
     def bwd(g):
         dot = (g * p).sum(axis=1, keepdims=True)
-        _accum(a, p * (g - dot))
+        _accum(a, p * (g - dot), owned=True)
     return _node(p, (a,), bwd)
 
 
@@ -373,12 +453,12 @@ def layer_norm(x, gamma=None, beta=None, eps=1e-5):
     def bwd(g):
         gy = g * gamma.data if gamma is not None else g
         if gamma is not None:
-            _accum(gamma, (g * y).sum(axis=0, keepdims=True))
+            _accum(gamma, (g * y).sum(axis=0, keepdims=True), owned=True)
         if beta is not None:
-            _accum(beta, g.sum(axis=0, keepdims=True))
+            _accum(beta, g.sum(axis=0, keepdims=True), owned=True)
         m1 = gy.mean(axis=1, keepdims=True)
         m2 = (gy * y).mean(axis=1, keepdims=True)
-        _accum(x, (gy - m1 - y * m2) * inv)
+        _accum(x, (gy - m1 - y * m2) * inv, owned=True)
 
     out = y * gamma.data if gamma is not None else y
     if beta is not None:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from mixrec import numkit as nk
 
@@ -105,6 +106,54 @@ class TestGelu:
         x = t(np.linspace(-3, 3, 13)[None, :], grad=True)
         err = nk.grad_check(lambda: nk.sum_all(nk.gelu(x)), [x])
         assert err <= 1e-6
+
+
+def reference_gelu(x):
+    """The closed-form exact GELU and its cdf, as plain numpy expressions."""
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    return x * cdf, cdf
+
+
+def reference_gelu_grad(x, cdf, g):
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    return g * (cdf + x * pdf)
+
+
+class TestGeluBits:
+    """The chunked GELU gives the closed form's bits, not just its values."""
+
+    EDGES = [0.0, -0.0, math.sqrt(2.0), -math.sqrt(2.0),
+             np.nextafter(math.sqrt(2.0), 0.0), np.nextafter(math.sqrt(2.0), 3.0),
+             np.nextafter(-math.sqrt(2.0), 0.0), np.nextafter(-math.sqrt(2.0), -3.0),
+             np.inf, -np.inf, np.nan, 1e-300, -40.0, 40.0]
+
+    @pytest.mark.parametrize("n", [1, nk._CHUNK - 1, nk._CHUNK + 1, 3 * nk._CHUNK + 7])
+    def test_forward_and_gradient_equal_the_closed_form(self, n):
+        rng = np.random.default_rng(n)
+        # unit scale puts elements on both sides of |x| = sqrt(2)
+        x = rng.normal(scale=1.5, size=n)
+        x[:len(self.EDGES)] = self.EDGES[:n]
+        x[-len(self.EDGES):] = self.EDGES[-n:]
+        x = x.reshape(1, n)
+        g = rng.normal(size=x.shape)
+        with np.errstate(invalid="ignore"):
+            want, cdf = reference_gelu(x)
+            want_grad = reference_gelu_grad(x, cdf, g)
+            a = t(x, grad=True)
+            a.grad = None  # the gradient array itself, not 0 + it
+            out = nk.gelu(a)
+            out._backward(g)
+        assert np.array_equal(out.data, want, equal_nan=True)
+        assert np.array_equal(np.signbit(out.data), np.signbit(want))
+        assert np.array_equal(a.grad, want_grad, equal_nan=True)
+        assert np.array_equal(np.signbit(a.grad), np.signbit(want_grad))
+
+    def test_polynomial_branch_equals_scipy_erf(self):
+        # pins scipy: a scipy whose erf changes on |u| <= 1 fails here
+        u = np.random.default_rng(0).uniform(-1.0, 1.0, size=10 ** 6)
+        got, scratch = np.empty_like(u), np.empty_like(u)
+        nk._erf_small(u, u * u, got, scratch)
+        assert np.array_equal(got, erf(u))
 
 
 class TestSoftmax:
@@ -266,6 +315,61 @@ class TestAutodiffCore:
         nk.backward(nk.sum_all(nk.mul(x, s)))
         assert s.grad[0, 0] == 6.0
         np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+class TestGradientBuffers:
+    """The first contribution becomes the gradient buffer; none may alias."""
+
+    def test_mul_by_constant_skips_the_constant(self):
+        rng = np.random.default_rng(0)
+        x = t(rng.normal(size=(3, 4)), grad=True)
+        c = t(rng.normal(size=(3, 4)))
+        g = t(rng.normal(size=(3, 4)))
+        nk.backward(nk.sum_all(nk.mul(nk.mul(x, c), g)))
+        assert c.grad is None and g.grad is None
+        assert np.array_equal(x.grad, g.data * c.data)
+
+    def test_node_feeding_both_add_operands_gets_its_own_buffer(self):
+        rng = np.random.default_rng(1)
+        x = t(rng.normal(size=(2, 3)), grad=True)
+        up = t(rng.normal(size=(2, 3)))
+        h = nk.scale(x, 2.0)
+        y = nk.add(h, h)
+        seen = {}
+
+        def spy(name, node):
+            inner = node._backward
+
+            def record(g):
+                seen[name] = g
+                inner(g)
+            node._backward = record
+
+        spy("h", h)
+        spy("y", y)
+        nk.backward(nk.sum_all(nk.mul(y, up)))
+        assert seen["h"] is not seen["y"]
+        assert np.array_equal(seen["y"], up.data)
+        assert np.array_equal(seen["h"], 2.0 * up.data)
+        seen["h"][...] = 7.0
+        assert np.array_equal(seen["y"], up.data)
+        assert np.array_equal(x.grad, 4.0 * up.data)
+
+    def test_adopted_matmul_gradient_adds_a_second_contribution(self):
+        rng = np.random.default_rng(2)
+        # small integers keep every product and sum exact
+        x = t(rng.integers(-3, 4, size=(4, 3)), grad=True)
+        w = t(rng.integers(-3, 4, size=(3, 5)))
+        v1 = t(rng.integers(-3, 4, size=(5, 2)), grad=True)
+        v2 = t(rng.integers(-3, 4, size=(5, 2)), grad=True)
+        up = t(rng.integers(-3, 4, size=(4, 2)))
+        h = nk.matmul(x, w)
+        y = nk.add(nk.matmul(h, v1), nk.matmul(h, v2))
+        nk.backward(nk.sum_all(nk.mul(y, up)))
+        dh = up.data @ v1.data.T + up.data @ v2.data.T
+        assert np.array_equal(x.grad, dh @ w.data.T)
+        assert np.array_equal(v1.grad, h.data.T @ up.data)
+        assert np.array_equal(v2.grad, h.data.T @ up.data)
 
 
 class TestGradCheckHarness:

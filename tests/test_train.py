@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from mixrec import data as d
 from mixrec import evaluate
@@ -170,6 +171,33 @@ class TestFit:
         a = [{k: v for k, v in r.items() if k != "wall_ms"} for r in outs[0][1]]
         b = [{k: v for k, v in r.items() if k != "wall_ms"} for r in outs[1][1]]
         assert a == b
+
+
+def closed_form_gelu(a):
+    """Exact GELU as one unchunked expression per pass, with plain buffers."""
+    x = a.data
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    def bwd(g):
+        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        nk._accum(a, g * (cdf + x * pdf))
+    return nk._node(x * cdf, (a,), bwd)
+
+
+def test_gelu_fit_matches_the_closed_form_op_bit_for_bit(monkeypatch):
+    ds, cfg = planted_setup(users=60, dim=16, seq_hidden=32, ch_hidden=32,
+                            layers=2, dropout=0.5, activation="gelu")
+    tcfg = tr.TrainConfig(learning_rate=1e-2, max_epochs=3, patience=10,
+                          batch_size=32, seed=14, eval_negatives=10)
+    runs = []
+    for op in (nk.gelu, closed_form_gelu):
+        monkeypatch.setattr(nk, "gelu", op)
+        params = m.init_params(cfg, np.random.default_rng(15))
+        result = tr.fit(ds, params, cfg, tcfg)
+        runs.append(([r["train_loss"] for r in result.trace], params.copy_data()))
+    (loss_a, params_a), (loss_b, params_b) = runs
+    assert loss_a == loss_b
+    for name in params_a:
+        assert np.array_equal(params_a[name], params_b[name]), name
 
 
 class TestTrainingNegatives:
