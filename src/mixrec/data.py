@@ -195,9 +195,6 @@ class SequenceDataset:
         code = SPLITS.index(split) if split in SPLITS else -1
         return self.examples[self.examples.splits == code]
 
-    def user_items(self, user):
-        return set(self.user_sequences[user])
-
     def save(self, path):
         """Write user sequences; examples are rebuilt deterministically on load."""
         with open(path, "w", encoding="utf-8") as fh:
@@ -281,44 +278,97 @@ class PopularityDist:
         self.counts = counts
         self.probs = counts / total
         self.cumulative = np.cumsum(self.probs)
+        # the float sum can end just below 1, and a draw past its end would
+        # map to an index beyond the vocabulary: the last observed item
+        # takes that sliver, and every other draw keeps its item
+        self.cumulative[np.flatnonzero(counts)[-1]:] = 1.0
         self.observed = counts > 0  # candidate mask; PAD is never observed
 
 
-def sample_negatives(dist, exclude, n, rng):
-    """Draw ``n`` distinct items, popularity-weighted, outside ``exclude``.
+def history_mask(histories, width):
+    """B x ``width`` boolean mask whose row i marks the items of
+    ``histories[i]``; items outside 0..width-1 are ignored."""
+    lengths = [len(h) for h in histories]
+    items = np.fromiter(chain.from_iterable(histories), dtype=np.intp, count=sum(lengths))
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    inside = (items >= 0) & (items < width)
+    mask = np.zeros((len(lengths), width), dtype=bool)
+    mask[rows[inside], items[inside]] = True
+    return mask
 
-    Rejection draws by popularity come first; whatever is still missing
-    comes from one exact draw, renormalised over the remaining candidates.
-    Exclusions outside the vocabulary are ignored.
-    """
-    pool = dist.observed.copy()
-    idx = np.fromiter(exclude, dtype=np.intp)
-    pool[idx[(idx >= 0) & (idx < pool.size)]] = False
-    size = int(pool.sum())
-    if size < n:
-        raise SamplingError(f"need {n} negatives but candidate pool has {size} items")
 
-    chosen = []
-    # rejection sampling is fast while the pool dwarfs the request
-    if n * 3 <= size:
-        seen = set(exclude)
-        seen.add(PAD)
-        for _ in range(40):
-            draws = np.searchsorted(dist.cumulative, rng.random(2 * (n - len(chosen))), side="right")
-            for item in draws.tolist():
-                if item not in seen:
-                    seen.add(item)
-                    chosen.append(item)
-                    if len(chosen) == n:
-                        return chosen
+_REJECTION_ROUNDS = 40  # per row of sample_negatives, before its exact draw
 
-    # exact renormalized draws over the remaining candidates, in index order
-    pool[chosen] = False
-    remaining = np.flatnonzero(pool)
-    weights = dist.counts[remaining]
-    extra = rng.choice(len(remaining), size=n - len(chosen), replace=False, p=weights / weights.sum())
-    chosen.extend(remaining[extra].tolist())
+
+def _rejection_round(dist, free, rngs, need):
+    """Each row draws ``2 * need`` items by popularity on its own generator
+    and keeps, in draw order, each draw that ``free`` allows and that is new
+    to the row, up to ``need``. Returns the draws and the kept mask."""
+    b = len(rngs)
+    u = np.array([rng.random(2 * need) for rng in rngs]).reshape(b, 2 * need)
+    draws = np.searchsorted(dist.cumulative, u, side="right")
+    # first occurrences: a stable sort groups equal (row, item) keys in draw order
+    keys = (np.arange(b)[:, None] * free.shape[1] + draws).reshape(-1)
+    order = np.argsort(keys, kind="stable")
+    first = np.ones(keys.size, dtype=bool)
+    first[order[1:]] = keys[order[1:]] != keys[order[:-1]]
+    kept = first.reshape(draws.shape) & free[np.arange(b)[:, None], draws]
+    kept &= np.cumsum(kept, axis=1) <= need
+    return draws, kept
+
+
+def _finish_row(dist, free, chosen, n, rng, rounds):
+    """Complete one row's ``chosen`` on its own: up to ``rounds`` more
+    rejection rounds, then one exact draw renormalised over the candidates
+    that remain, in index order. ``free`` is the row's candidate mask."""
+    free[chosen] = False
+    for _ in range(rounds):
+        if len(chosen) == n:
+            return chosen
+        draws, kept = _rejection_round(dist, free[None], [rng], n - len(chosen))
+        new = draws[kept]
+        free[new] = False
+        chosen.extend(new.tolist())
+    if len(chosen) < n:
+        remaining = np.flatnonzero(free)
+        weights = dist.counts[remaining]
+        extra = rng.choice(len(remaining), size=n - len(chosen), replace=False,
+                           p=weights / weights.sum())
+        chosen.extend(remaining[extra].tolist())
     return chosen
+
+
+def sample_negatives(dist, excludes, n, rngs):
+    """Draw ``n`` distinct items per row, popularity-weighted, outside the
+    row's ``excludes[i]`` and with its own generator ``rngs[i]``; returns a
+    B x n array.
+
+    A row's draws depend on its generator and exclusions alone. Rejection
+    draws by popularity come first, up to 40 rounds of ``2 * (n - chosen)``
+    draws; whatever is still missing comes from one exact draw,
+    renormalised over the remaining candidates. The first round runs for
+    every row at once; rows it leaves short go on alone. Exclusions outside
+    the vocabulary are ignored.
+    """
+    free = dist.observed & ~history_mask(excludes, dist.observed.size)
+    sizes = free.sum(axis=1)
+    too_small = np.flatnonzero(sizes < n)
+    if too_small.size:
+        raise SamplingError(
+            f"need {n} negatives but candidate pool has {sizes[too_small[0]]} items")
+
+    out = np.empty((len(rngs), n), dtype=np.intp)
+    # rejection sampling is fast while the pool dwarfs the request
+    rejecting = np.flatnonzero(n * 3 <= sizes)
+    draws, kept = _rejection_round(dist, free[rejecting], [rngs[i] for i in rejecting], n)
+    done = kept.sum(axis=1) == n
+    out[rejecting[done]] = draws[done][kept[done]].reshape(done.sum(), n)
+    for i, row, row_kept in zip(rejecting[~done], draws[~done], kept[~done]):
+        out[i] = _finish_row(dist, free[i], row[row_kept].tolist(), n, rngs[i],
+                             _REJECTION_ROUNDS - 1)
+    for i in np.flatnonzero(n * 3 > sizes):
+        out[i] = _finish_row(dist, free[i], [], n, rngs[i], 0)
+    return out
 
 
 def synthesize_log(num_users, seq_len, vocab, k_star, noise_rate, rng):

@@ -89,9 +89,10 @@ def evaluate_split(params, cfg, dataset, split, num_negatives=100, cutoff=10,
             chunk = examples[start:start + batch_size]
             cands = np.empty((len(chunk), 1 + num_negatives), dtype=np.intp)
             cands[:, 0] = chunk.targets
-            for i, user in enumerate(chunk.users.tolist()):
-                rng = example_rng(seed, user, split)
-                cands[i, 1:] = sample_negatives(dist, dataset.user_items(user), num_negatives, rng)
+            users = chunk.users.tolist()
+            cands[:, 1:] = sample_negatives(
+                dist, [dataset.user_sequences[u] for u in users], num_negatives,
+                [example_rng(seed, u, split) for u in users])
             hidden = forward_hidden(chunk.inputs(), params, cfg, arch=arch)
             raw = score_items(hidden, cands, params)
             ranks.extend(rank_of_target(raw.data, 0).tolist())

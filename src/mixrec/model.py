@@ -200,18 +200,25 @@ def _mixer_mlp(rows, w_in, w_out, cfg, train_mode, rng):
     return nk.matmul(h, nk.transpose(w_out))
 
 
-def sequence_mixer_block(x, layer, cfg, blocks, train_mode=False, rng=None):
-    """Mix across positions. ``x`` is (blocks*T) x D; returns the same shape."""
+def sequence_mixer_block(x, layer, cfg, blocks, train_mode=False, rng=None, final_row=False):
+    """Mix across positions. ``x`` is (blocks*T) x D; returns the same shape.
+
+    With ``final_row`` it returns only each block's final row, blocks x D:
+    the hidden activation is the same, but the output projection runs
+    through the single row ``seq_w2[T-1]``.
+    """
+    rows = _final_rows(x, blocks) if final_row else x
     if cfg.disable_sequence_mixer:
-        return x
+        return rows
     if cfg.norm_axis == "channel":
         normed = nk.layer_norm(x, layer.seq_gamma, layer.seq_beta, LN_EPS)
         per_channel = nk.batch_transpose(normed, blocks)       # (blocks*D) x T
     else:
         # literal per-channel normalization along the sequence axis (affine-free)
         per_channel = nk.layer_norm(nk.batch_transpose(x, blocks), eps=LN_EPS)
-    mixed = _mixer_mlp(per_channel, layer.seq_w1, layer.seq_w2, cfg, train_mode, rng)
-    return nk.add(x, nk.batch_transpose(mixed, blocks))
+    w_out = nk.take_rows(layer.seq_w2, [x.rows // blocks - 1]) if final_row else layer.seq_w2
+    mixed = _mixer_mlp(per_channel, layer.seq_w1, w_out, cfg, train_mode, rng)
+    return nk.add(rows, nk.batch_transpose(mixed, blocks))
 
 
 def channel_mixer_block(x, layer, cfg, train_mode=False, rng=None):
@@ -247,15 +254,30 @@ def _last_rows(x, blocks, block_len, window):
     return nk.take_rows(x, idx)
 
 
+def _final_rows(x, blocks):
+    """The last row of each block of a row-stacked (blocks*T) x D tensor."""
+    return nk.take_rows(x, np.arange(1, blocks + 1) * (x.rows // blocks) - 1)
+
+
 def interest_forward(x, window, stack, cfg, blocks, block_len, train_mode=False, rng=None):
     """Run a stack over the last ``window`` positions; return the final row
-    of each block as a blocks x D tensor."""
+    of each block as a blocks x D tensor.
+
+    Only that row is returned, so outside training the last layer computes
+    it alone: its sequence mixer projects onto the final position and its
+    channel mixer runs on blocks rows, not blocks*window. Training runs the
+    last layer on every row, so each dropout mask keeps its shape and the
+    generator stream, and with it every training run, stays as it was.
+    """
     if window > block_len:
         raise ValueError(f"window {window} exceeds input length {block_len}")
     sliced = x if window == block_len else _last_rows(x, blocks, block_len, window)
-    mixed = stack_forward(sliced, stack, cfg, blocks, train_mode, rng)
-    final = np.arange(1, blocks + 1) * window - 1
-    return nk.take_rows(mixed, final)
+    if train_mode:
+        return _final_rows(stack_forward(sliced, stack, cfg, blocks, train_mode, rng), blocks)
+    *body, last = stack
+    mixed = stack_forward(sliced, body, cfg, blocks)
+    return channel_mixer_block(sequence_mixer_block(mixed, last, cfg, blocks, final_row=True),
+                               last, cfg)
 
 
 def mixture_short_term(x, arch, params, cfg, blocks, block_len, train_mode=False, rng=None):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evaluate, numkit as nk
-from .data import PAD, DataError, PopularityDist, SamplingError
+from .data import PAD, DataError, PopularityDist, SamplingError, history_mask
 from .model import forward_hidden, score_items
 
 
@@ -87,16 +87,19 @@ class Batch:
     split: str
 
 
-def sample_training_negatives(dist, user_sets, n_neg, rng, max_rounds=200):
-    """Popularity-weighted negatives per example, excluding each user's items.
+def sample_training_negatives(dist, histories, n_neg, rng, max_rounds=200):
+    """Popularity-weighted negatives per example, excluding the items of
+    each example's ``histories[i]``.
 
     Draws with replacement across examples (training only); redraws entries
     colliding with the owner's history until clean.
     """
-    n = len(user_sets)
+    n = len(histories)
+    owned = history_mask(histories, dist.counts.size)
+    rows = np.arange(n)[:, None]
     draws = np.searchsorted(dist.cumulative, rng.random((n, n_neg)), side="right")
     for _ in range(max_rounds):
-        bad = np.array([[item in user_sets[i] for item in row] for i, row in enumerate(draws)])
+        bad = owned[rows, draws]
         hits = int(bad.sum())
         if hits == 0:
             return draws
@@ -110,8 +113,8 @@ def make_batches(dataset, examples, batch_size, n_neg, dist, rng, split):
     batches = []
     for start in range(0, len(order), batch_size):
         chunk = examples[order[start:start + batch_size]]
-        user_sets = [dataset.user_items(user) for user in chunk.users.tolist()]
-        negatives = sample_training_negatives(dist, user_sets, n_neg, rng)
+        histories = [dataset.user_sequences[user] for user in chunk.users.tolist()]
+        negatives = sample_training_negatives(dist, histories, n_neg, rng)
         batches.append(Batch(chunk.inputs(), chunk.targets, negatives, split))
     return batches
 

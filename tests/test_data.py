@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixrec import data as d
+from mixrec import train as tr
 
 
 def log_from_rows(rows):
@@ -246,57 +247,57 @@ class TestSampleNegatives:
         counts = np.zeros(102)
         counts[1:102] = 1
         dist = d.PopularityDist(counts)
-        out = d.sample_negatives(dist, {50}, 100, np.random.default_rng(0))
+        (out,) = d.sample_negatives(dist, [{50}], 100, [np.random.default_rng(0)])
         assert sorted(out) == [i for i in range(1, 102) if i != 50]
 
     def test_popularity_proportional(self):
         dist = d.PopularityDist([0, 90, 5, 5])
         rng = np.random.default_rng(123)
-        hits = sum(d.sample_negatives(dist, set(), 1, rng)[0] == 1 for _ in range(10_000))
+        hits = sum(d.sample_negatives(dist, [set()], 1, [rng])[0, 0] == 1 for _ in range(10_000))
         assert 0.87 <= hits / 10_000 <= 0.93
 
     def test_exhausted_pool_raises(self):
         dist = d.PopularityDist([0, 3, 2, 1])
         with pytest.raises(d.SamplingError, match="pool has 0"):
-            d.sample_negatives(dist, {1, 2, 3}, 1, np.random.default_rng(0))
+            d.sample_negatives(dist, [{1, 2, 3}], 1, [np.random.default_rng(0)])
 
     def test_never_returns_excluded_or_padding(self):
         dist = d.PopularityDist([0, 5, 5, 5, 5, 5, 5])
         rng = np.random.default_rng(9)
         for _ in range(200):
-            out = d.sample_negatives(dist, {2, 4}, 3, rng)
+            (out,) = d.sample_negatives(dist, [{2, 4}], 3, [rng])
             assert len(set(out)) == 3
             assert not {2, 4, d.PAD} & set(out)
 
     def test_deterministic_given_seed(self):
         counts = np.arange(50.0)
-        out1 = d.sample_negatives(d.PopularityDist(counts), {3}, 20, np.random.default_rng(5))
-        out2 = d.sample_negatives(d.PopularityDist(counts), {3}, 20, np.random.default_rng(5))
-        assert out1 == out2
+        out1 = d.sample_negatives(d.PopularityDist(counts), [{3}], 20, [np.random.default_rng(5)])
+        out2 = d.sample_negatives(d.PopularityDist(counts), [{3}], 20, [np.random.default_rng(5)])
+        assert out1.tolist() == out2.tolist()
 
     # Literal draws: evaluation negatives are part of the seed contract, so
     # no rewrite of the sampler may change them.
 
     def test_pinned_draws_rejection_path(self):
-        out = d.sample_negatives(d.PopularityDist(np.arange(40)), {3, 7, 11, 99}, 8,
-                                 np.random.default_rng(11))
-        assert out == [14, 28, 31, 15, 38, 10, 24, 32]
+        out = d.sample_negatives(d.PopularityDist(np.arange(40)), [{3, 7, 11, 99}], 8,
+                                 [np.random.default_rng(11)])
+        assert out.tolist() == [[14, 28, 31, 15, 38, 10, 24, 32]]
 
     def test_pinned_draws_direct_fallback(self):
         # 7 candidates, n*3 > 7: only the exact renormalised draw runs;
         # -1 and 50 lie outside the vocabulary and exclude nothing
         counts = [0, 5, 1, 3, 0, 2, 8, 4, 6, 1, 2]
-        out = d.sample_negatives(d.PopularityDist(counts), {2, 6, -1, 50}, 4,
-                                 np.random.default_rng(12))
-        assert out == [3, 10, 1, 7]
+        out = d.sample_negatives(d.PopularityDist(counts), [{2, 6, -1, 50}], 4,
+                                 [np.random.default_rng(12)])
+        assert out.tolist() == [[3, 10, 1, 7]]
 
     def test_pinned_draws_after_rejection_rounds_run_out(self):
         # item 1 takes nearly all the mass, so 40 rounds find only it and
         # the exact draw picks the other eight
         counts = [0, 10**9] + [1] * 29
-        out = d.sample_negatives(d.PopularityDist(counts), {0, 30}, 9,
-                                 np.random.default_rng(13))
-        assert out == [1, 27, 17, 16, 9, 22, 15, 10, 11]
+        out = d.sample_negatives(d.PopularityDist(counts), [{0, 30}], 9,
+                                 [np.random.default_rng(13)])
+        assert out.tolist() == [[1, 27, 17, 16, 9, 22, 15, 10, 11]]
 
     @given(st.lists(st.integers(0, 50), min_size=2, max_size=40),
            st.sets(st.integers(-5, 50), max_size=30),
@@ -309,9 +310,80 @@ class TestSampleNegatives:
             want = list_pool_sample_negatives(dist, exclude, n, np.random.default_rng(seed))
         except d.SamplingError:
             with pytest.raises(d.SamplingError):
-                d.sample_negatives(dist, exclude, n, np.random.default_rng(seed))
+                d.sample_negatives(dist, [exclude], n, [np.random.default_rng(seed)])
             return
-        assert d.sample_negatives(dist, exclude, n, np.random.default_rng(seed)) == want
+        assert d.sample_negatives(dist, [exclude], n, [np.random.default_rng(seed)]).tolist() == [want]
+
+    @given(st.lists(st.integers(0, 50), min_size=2, max_size=40),
+           st.lists(st.tuples(st.lists(st.integers(-5, 50), max_size=30),
+                              st.integers(0, 2**32 - 1)), min_size=1, max_size=6),
+           st.integers(1, 45))
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_of_a_batch_matches_the_oracle(self, counts, rows, n):
+        counts[1] += 1
+        dist = d.PopularityDist(counts)
+        excludes = [exclude for exclude, _ in rows]
+        rngs = [np.random.default_rng(seed) for _, seed in rows]
+        try:
+            want = [list_pool_sample_negatives(dist, exclude, n, np.random.default_rng(seed))
+                    for exclude, seed in rows]
+        except d.SamplingError:
+            with pytest.raises(d.SamplingError):
+                d.sample_negatives(dist, excludes, n, rngs)
+            return
+        out = d.sample_negatives(dist, excludes, n, rngs)
+        assert out.shape == (len(rows), n)
+        assert out.tolist() == want
+
+    def test_one_batch_mixes_all_three_paths(self, monkeypatch):
+        # items 1-20 carry nearly all the mass, items 21-60 almost none
+        dist = d.PopularityDist([0] + [10**6] * 20 + [1] * 40)
+        excludes = [[],                  # 60 candidates: the first round fills it
+                    list(range(1, 20)),  # item 20 alone is heavy: the rounds run out
+                    list(range(1, 41)),  # 20 candidates < 3n: exact draw only
+                    [5, 5, 7, 99]]       # duplicates and an outside index
+        seeds = [31, 32, 33, 34]
+        finished = []
+        finish_row = d._finish_row
+        monkeypatch.setattr(d, "_finish_row", lambda *a: finished.append(a[-1]) or finish_row(*a))
+        out = d.sample_negatives(dist, excludes, 9, [np.random.default_rng(s) for s in seeds])
+        assert finished == [39, 0]
+        assert out.tolist() == [list_pool_sample_negatives(dist, e, 9, np.random.default_rng(s))
+                                for e, s in zip(excludes, seeds)]
+        with pytest.raises(d.SamplingError, match="pool has 5"):
+            d.sample_negatives(dist, excludes + [range(1, 56)], 9,
+                               [np.random.default_rng(s) for s in seeds + [35]])
+
+    def test_a_draw_past_the_float_sum_gets_a_real_item(self):
+        # the cumulative sum of these probabilities ends below 1.0
+        counts = [0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0]
+        dist = d.PopularityDist(counts)
+        assert dist.cumulative[-1] == 1.0
+        top = StubGenerator(np.nextafter(1.0, 0.0))
+        assert d.sample_negatives(dist, [[]], 1, [top]).tolist() == [[10]]
+        assert tr.sample_training_negatives(dist, [[1, 2]], 2, top).tolist() == [[10, 10]]
+
+    @given(st.lists(st.integers(0, 1000), min_size=2, max_size=60),
+           st.floats(0.0, 1.0, exclude_max=True))
+    @settings(max_examples=300, deadline=None)
+    def test_every_draw_inside_the_float_sum_keeps_its_item(self, counts, u):
+        # u is a draw of Generator.random, in [0, 1)
+        counts[1] += 1
+        dist = d.PopularityDist(counts)
+        plain = np.cumsum(dist.probs)
+        if u < plain[-1]:
+            assert (np.searchsorted(dist.cumulative, u, side="right")
+                    == np.searchsorted(plain, u, side="right"))
+
+
+class StubGenerator:
+    """Stands in for a numpy generator whose ``random`` always returns ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, size=None):
+        return np.full(size, self.value)
 
 
 def list_pool_sample_negatives(dist, exclude, n, rng):

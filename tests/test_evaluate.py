@@ -125,6 +125,22 @@ class TestEvaluateSplit:
         b = ev.evaluate_split(params, cfg, ds, "val", num_negatives=15, cutoff=10, seed=3)
         assert (a.hr, a.ndcg, a.mrr, a.count) == (b.hr, b.ndcg, b.mrr, b.count)
 
+    @pytest.mark.parametrize("split, n, cutoff, seed, layers, window, want", [
+        ("val", 5, 10, 3, 1, 2, (1.0, 0.7490132485454434, 0.663888888888889)),
+        ("val", 12, 10, 3, 1, 2, (1.0, 0.6600283908398928, 0.5516666666666665)),
+        ("val", 15, 10, 3, 1, 2, (1.0, 0.5866272617632267, 0.4565079365079364)),
+        ("test", 9, 5, 1, 2, 3, (0.6666666666666666, 0.3746055539117517, 0.2783333333333333)),
+    ])
+    def test_pinned_metrics(self, split, n, cutoff, seed, layers, window, want):
+        # recorded with one sampler call per example and every row through
+        # the last mixer layer; candidate pools of 33-39 items make n=5 and
+        # n=9 rejection batches, n=15 exact-draw batches and n=12 a mix
+        ds = planted_dataset()
+        cfg, params = tiny_model(ds, layers=layers, windows=(window,))
+        out = ev.evaluate_split(params, cfg, ds, split, num_negatives=n, cutoff=cutoff,
+                                seed=seed)
+        assert (out.hr, out.ndcg, out.mrr) == want
+
     def test_batch_boundaries_do_not_change_results(self):
         ds = planted_dataset()
         cfg, params = tiny_model(ds)

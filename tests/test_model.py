@@ -214,6 +214,72 @@ class TestInterest:
             m.interest_forward(x, cfg.max_len + 1, params.long_stack, cfg, 1, cfg.max_len)
 
 
+def every_row_interest(x, window, stack, cfg, blocks, block_len):
+    """Oracle: the whole stack over every row of the last ``window``
+    positions, then each block's final row."""
+    tables = x.data.reshape(blocks, block_len, -1)[:, block_len - window:]
+    mixed = m.stack_forward(nk.Tensor2(tables.reshape(blocks * window, -1)), stack, cfg, blocks)
+    return nk.take_rows(mixed, np.arange(1, blocks + 1) * window - 1)
+
+
+class TestFinalRowPath:
+    """Outside training the last layer computes only the final row."""
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    @pytest.mark.parametrize("norm_axis", ["channel", "sequence"])
+    @pytest.mark.parametrize("flags", [{}, {"disable_sequence_mixer": True},
+                                       {"disable_channel_mixer": True},
+                                       {"disable_sequence_mixer": True,
+                                        "disable_channel_mixer": True}])
+    def test_matches_the_every_row_oracle(self, layers, activation, norm_axis, flags):
+        cfg = toy_cfg(max_len=5, dim=3, seq_hidden=4, ch_hidden=6, layers=layers,
+                      windows=(1, 3), activation=activation, norm_axis=norm_axis, **flags)
+        rng = np.random.default_rng(layers)
+        params = m.init_params(cfg, rng)
+        blocks, t = 3, cfg.max_len
+        x = nk.Tensor2(rng.normal(size=(blocks * t, cfg.dim)))
+        cases = [(1, params.candidate_stacks[0]), (3, params.candidate_stacks[1]),
+                 (t, params.long_stack)]
+        for window, stack in cases:
+            got = m.interest_forward(x, window, stack, cfg, blocks, t)
+            want = every_row_interest(x, window, stack, cfg, blocks, t)
+            assert got.shape == (blocks, cfg.dim)
+            np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("window", [2, 4])
+    def test_gradients_match_finite_differences(self, window):
+        cfg = toy_cfg(max_len=4, dim=3, seq_hidden=3, ch_hidden=3, layers=2, windows=(2,))
+        rng = np.random.default_rng(window)
+        params = m.init_params(cfg, rng)
+        stack = params.long_stack if window == cfg.max_len else params.candidate_stacks[0]
+        x = nk.Tensor2(rng.normal(size=(2 * cfg.max_len, cfg.dim)), requires_grad=True)
+
+        def loss():
+            out = m.interest_forward(x, window, stack, cfg, 2, cfg.max_len)
+            return nk.mean_all(nk.softplus(out))
+
+        leaves = [x] + [leaf for li, layer in enumerate(stack)
+                        for _, leaf in layer.named(str(li))]
+        assert nk.grad_check(loss, leaves, h=1e-6) <= 1e-4
+
+    def test_training_runs_gelu_on_every_row(self, monkeypatch):
+        # the dropout masks, and so the generator stream, keep their shapes
+        cfg = toy_cfg(dropout=0.5)
+        rng = np.random.default_rng(9)
+        params = m.init_params(cfg, rng)
+        x = nk.Tensor2(rng.normal(size=(2 * cfg.max_len, cfg.dim)))
+        sizes = []
+        gelu = nk.gelu
+        monkeypatch.setattr(nk, "gelu", lambda a: sizes.append(a.data.size) or gelu(a))
+        stack = params.candidate_stacks[1]  # window 3
+        m.interest_forward(x, 3, stack, cfg, 2, cfg.max_len, train_mode=True, rng=rng)
+        assert sizes == [2 * cfg.dim * cfg.seq_hidden, 2 * 3 * cfg.ch_hidden]
+        sizes.clear()
+        m.interest_forward(x, 3, stack, cfg, 2, cfg.max_len)
+        assert sizes == [2 * cfg.dim * cfg.seq_hidden, 2 * cfg.ch_hidden]
+
+
 class TestMixture:
     def _candidate_outputs(self, x, params, cfg):
         return [

@@ -205,10 +205,10 @@ class TestTrainingNegatives:
         ds, _ = planted_setup(users=20, vocab=25)
         dist = d.PopularityDist(ds.item_counts)
         examples = ds.split_examples("train")[:64]
-        user_sets = [ds.user_items(ex.user) for ex in examples]
-        draws = tr.sample_training_negatives(dist, user_sets, 3, np.random.default_rng(14))
-        for row, owned in zip(draws, user_sets):
-            assert not set(int(x) for x in row) & owned
+        histories = [ds.user_sequences[ex.user] for ex in examples]
+        draws = tr.sample_training_negatives(dist, histories, 3, np.random.default_rng(14))
+        for row, owned in zip(draws, histories):
+            assert not set(int(x) for x in row) & set(owned)
             assert d.PAD not in row
 
     def test_batches_cover_every_example_once(self):
