@@ -42,6 +42,10 @@ class ParseFormat:
     columns: tuple[str, ...] = ("user", "item", "timestamp")
     header: bool = False
 
+    def __post_init__(self):
+        if not self.delimiter:
+            raise ValueError("delimiter must not be empty")
+
     @classmethod
     def movielens_1m(cls):
         # UserID::MovieID::Rating::Timestamp, rating ignored

@@ -18,7 +18,7 @@ sequence-mixer is a block transpose.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -56,6 +56,8 @@ class ModelConfig:
         self.windows = tuple(int(k) for k in self.windows)
         if not self.windows:
             raise ValueError("at least one short-term window is required")
+        if self.windows[0] < 1:
+            raise ValueError(f"windows must be >= 1, got {self.windows}")
         if any(b <= a for a, b in zip(self.windows, self.windows[1:])):
             raise ValueError(f"windows must be strictly increasing, got {self.windows}")
         if self.windows[-1] >= self.max_len:
@@ -237,17 +239,6 @@ def stack_forward(x, stack, cfg, blocks, train_mode=False, rng=None):
     return x
 
 
-def sequence_mixer(x_dt, layer, cfg, train_mode=False, rng=None):
-    """Single-table sequence-mixer on the transposed (D x T) orientation."""
-    out = sequence_mixer_block(nk.transpose(x_dt), layer, cfg, 1, train_mode, rng)
-    return nk.transpose(out)
-
-
-def channel_mixer(x_td, layer, cfg, train_mode=False, rng=None):
-    """Single-table channel-mixer on the T x D orientation."""
-    return channel_mixer_block(x_td, layer, cfg, train_mode, rng)
-
-
 def _last_rows(x, blocks, block_len, window):
     idx = (np.arange(blocks)[:, None] * block_len
            + np.arange(block_len - window, block_len)[None, :]).reshape(-1)
@@ -354,15 +345,7 @@ def save_checkpoint(path, params, cfg):
     leaves = params.leaves()
     header = {
         "version": CHECKPOINT_VERSION,
-        "config": {
-            "num_items": cfg.num_items, "max_len": cfg.max_len, "dim": cfg.dim,
-            "seq_hidden": cfg.seq_hidden, "ch_hidden": cfg.ch_hidden,
-            "layers": cfg.layers, "windows": list(cfg.windows),
-            "dropout": cfg.dropout, "activation": cfg.activation,
-            "norm_axis": cfg.norm_axis,
-            "disable_sequence_mixer": cfg.disable_sequence_mixer,
-            "disable_channel_mixer": cfg.disable_channel_mixer,
-        },
+        "config": asdict(cfg),
         "arrays": [[name, leaf.rows, leaf.cols] for name, leaf in leaves],
     }
     with open(path, "wb") as fh:
@@ -384,14 +367,7 @@ def load_checkpoint(path):
             if header.get("version") != CHECKPOINT_VERSION:
                 raise DataFormatError(f"unsupported checkpoint version {header.get('version')}")
             c = header["config"]
-            cfg = ModelConfig(
-                num_items=c["num_items"], max_len=c["max_len"], dim=c["dim"],
-                seq_hidden=c["seq_hidden"], ch_hidden=c["ch_hidden"], layers=c["layers"],
-                windows=tuple(c["windows"]), dropout=c["dropout"], activation=c["activation"],
-                norm_axis=c["norm_axis"],
-                disable_sequence_mixer=c["disable_sequence_mixer"],
-                disable_channel_mixer=c["disable_channel_mixer"],
-            )
+            cfg = ModelConfig(**{f.name: c[f.name] for f in fields(ModelConfig)})
             arrays = [(name, rows, cols) for name, rows, cols in header["arrays"]]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"malformed checkpoint header: {exc!r}") from None

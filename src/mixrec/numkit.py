@@ -128,9 +128,6 @@ class Tensor2:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
@@ -225,14 +222,6 @@ def add(a, b):
         _accum(a, _unbroadcast(g, a.data.shape))
         _accum(b, _unbroadcast(g, b.data.shape))
     return _node(a.data + b.data, (a, b), bwd)
-
-
-def sub(a, b):
-    _check_broadcast(a, b, "sub")
-    def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, -_unbroadcast(g, b.data.shape), owned=True)
-    return _node(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b):
@@ -468,11 +457,10 @@ def layer_norm(x, gamma=None, beta=None, eps=1e-5):
     for name, p in (("gamma", gamma), ("beta", beta)):
         if p is not None and p.data.shape != (1, x.cols):
             raise ShapeError(f"layer_norm: {name} {p.rows}x{p.cols} vs input {x.rows}x{x.cols}")
-    n = x.cols
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    d = x.data - x.data.mean(axis=1, keepdims=True)
+    var = (d * d).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    y = (x.data - mu) * inv
+    y = d * inv
     parents = [x]
     if gamma is not None:
         parents.append(gamma)

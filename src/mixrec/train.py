@@ -34,10 +34,11 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        for name in ("batch_size", "max_epochs", "patience", "negatives_per_positive"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.eval_negatives < 0:
+            raise ValueError(f"eval_negatives must be >= 0, got {self.eval_negatives}")
 
 
 class AdamState:

@@ -1,6 +1,6 @@
 """Command-line behavior: dispatch, config precedence, exit codes, artifacts."""
 
-import dataclasses
+import argparse
 import json
 import os
 import subprocess
@@ -11,13 +11,97 @@ import numpy as np
 import pytest
 
 import mixrec
-from mixrec import cli
-from mixrec.train import TrainConfig
+from mixrec import cli, model
 
 
 FAST = ["--max-len", "5", "--dim", "8", "--seq-hidden", "8", "--ch-hidden", "8",
         "--layers", "1", "--dropout", "0", "--max-epochs", "2", "--batch-size", "32",
         "--eval-negatives", "8"]
+
+
+# The CLI's pinned surface: each command's option strings, the config a default
+# run archives, and one checkpoint header. Changing any of them changes what
+# users type or what earlier run directories hold.
+_MODEL_OPTIONS = {"--max-len", "--dim", "--seq-hidden", "--ch-hidden", "--layers", "--dropout",
+                  "--activation", "--norm-axis", "--disable-sequence-mixer",
+                  "--disable-channel-mixer"}
+_TRAIN_OPTIONS = {"--learning-rate", "--batch-size", "--max-epochs", "--patience",
+                  "--negatives-per-positive", "--weight-decay", "--eval-negatives",
+                  "--eval-cutoff", "--seed"}
+_RUN_OPTIONS = {"--out", "--config", "--dataset"}
+COMMAND_OPTIONS = {
+    "ingest": {"--input", "--format", "--delimiter", "--header", "--min-interactions",
+               "--max-len", "--out", "--config", "--seed"},
+    "synth": {"--users", "--len", "--vocab", "--kstar", "--noise", "--max-len", "--out",
+              "--config", "--seed"},
+    "search": {"--K", "--arch-lr", "--search-mode"} | _MODEL_OPTIONS | _TRAIN_OPTIONS
+              | _RUN_OPTIONS,
+    "train": {"--k", "--search-result"} | _MODEL_OPTIONS | _TRAIN_OPTIONS | _RUN_OPTIONS,
+    "eval": {"--checkpoint", "--split", "--eval-negatives", "--eval-cutoff", "--seed"}
+            | _RUN_OPTIONS,
+    "oracle": {"--K"} | _MODEL_OPTIONS | _TRAIN_OPTIONS | _RUN_OPTIONS,
+    "sweep": {"--k", "--sweep-layers", "--sweep-dims"} | _MODEL_OPTIONS | _TRAIN_OPTIONS
+             | _RUN_OPTIONS,
+    "ablate": {"--k"} | _MODEL_OPTIONS | _TRAIN_OPTIONS | _RUN_OPTIONS,
+    "bench": {"--bench-lens", "--reps", "--seed", "--out", "--config"} | _MODEL_OPTIONS,
+}
+
+DEFAULT_RESOLVED = """\
+K = 1,2,4
+activation = gelu
+arch_lr = 0.003
+batch_size = 128
+bench_lens = 64,128,256,512
+beta1 = 0.9
+beta2 = 0.999
+ch_hidden = 512
+delimiter = \t
+dim = 128
+disable_channel_mixer = False
+disable_sequence_mixer = False
+dropout = 0.5
+eps_adam = 1e-08
+eval_cutoff = 10
+eval_negatives = 100
+format = generic
+header = False
+k = 0
+kstar = 2
+layers = 4
+learning_rate = 0.001
+len = 30
+max_epochs = 100
+max_len = 50
+min_interactions = 10
+negatives_per_positive = 1
+noise = 0.0
+norm_axis = channel
+patience = 10
+reps = 50
+search_mode = first_order
+seed = 0
+seq_hidden = 512
+sweep_dims = 32,64,128
+sweep_layers = 4,8,12
+users = 200
+vocab = 50
+weight_decay = 0.0
+"""
+
+CHECKPOINT_HEADER = (
+    '{"arrays": [["item_embedding", 8, 3], ["long.0.seq_w1", 4, 5], ["long.0.seq_w2", 5, 4], '
+    '["long.0.seq_gamma", 1, 3], ["long.0.seq_beta", 1, 3], ["long.0.ch_w3", 2, 3], '
+    '["long.0.ch_w4", 3, 2], ["long.0.ch_gamma", 1, 3], ["long.0.ch_beta", 1, 3], '
+    '["cand.0.0.seq_w1", 4, 1], ["cand.0.0.seq_w2", 1, 4], ["cand.0.0.seq_gamma", 1, 3], '
+    '["cand.0.0.seq_beta", 1, 3], ["cand.0.0.ch_w3", 2, 3], ["cand.0.0.ch_w4", 3, 2], '
+    '["cand.0.0.ch_gamma", 1, 3], ["cand.0.0.ch_beta", 1, 3], ["cand.1.0.seq_w1", 4, 3], '
+    '["cand.1.0.seq_w2", 3, 4], ["cand.1.0.seq_gamma", 1, 3], ["cand.1.0.seq_beta", 1, 3], '
+    '["cand.1.0.ch_w3", 2, 3], ["cand.1.0.ch_w4", 3, 2], ["cand.1.0.ch_gamma", 1, 3], '
+    '["cand.1.0.ch_beta", 1, 3], ["out_w", 3, 6], ["out_b", 1, 3]], '
+    '"config": {"activation": "relu", "ch_hidden": 2, "dim": 3, "disable_channel_mixer": true, '
+    '"disable_sequence_mixer": false, "dropout": 0.25, "layers": 1, "max_len": 5, '
+    '"norm_axis": "sequence", "num_items": 7, "seq_hidden": 4, "windows": [1, 3]}, '
+    '"version": 1}')
 
 
 def synth(tmp_path, name="data", **kw):
@@ -67,41 +151,75 @@ class TestDispatchAndExitCodes:
                          "--out", str(tmp_path / "out")] + FAST)
         assert code == 2
 
-    @pytest.mark.parametrize("conf, flags", [
-        ("dim = abc\n", []),
-        ("learning_rate = fast\n", []),
-        ("", ["--k", "9"]),  # the dataset's max_len is 5
-        ("", ["--dim", "0"]),
-        ("", ["--layers", "0"]),
-        ("", ["--batch-size", "0"]),
+    @pytest.mark.parametrize("command, conf, flags", [
+        ("train", "dim = abc\n", []),
+        ("train", "learning_rate = fast\n", []),
+        ("train", "", ["--k", "9"]),  # the dataset's max_len is 5
+        ("train", "", ["--dim", "0"]),
+        ("train", "", ["--layers", "0"]),
+        ("train", "", ["--batch-size", "0"]),
+        ("train", "", ["--negatives-per-positive", "-1"]),
+        ("train", "", ["--eval-negatives", "-1"]),
+        ("train", "", ["--max-epochs", "0"]),
+        ("train", "negatives_per_positive = 0\n", []),
+        ("eval", "", ["--eval-negatives", "-1"]),
+        ("bench", "", ["--reps", "0"]),
+        ("bench", "", ["--bench-lens", "1"]),
     ], ids=["int-in-file", "float-in-file", "window-past-max-len", "dim-0", "layers-0",
-            "batch-size-0"])
-    def test_bad_config_value_is_usage_error(self, tmp_path, conf, flags):
+            "batch-size-0", "negatives-per-positive--1", "eval-negatives--1", "max-epochs-0",
+            "negatives-per-positive-0-in-file", "eval-eval-negatives--1", "bench-reps-0",
+            "bench-lens-1"])
+    def test_bad_config_value_is_usage_error(self, tmp_path, command, conf, flags):
         (tmp_path / "run.conf").write_text(conf)
-        code = cli.main(["train", "--dataset", str(synth(tmp_path)), "--k", "2",
-                         "--config", str(tmp_path / "run.conf"),
-                         "--out", str(tmp_path / "out")] + FAST + flags)
+        if command == "bench":
+            argv = ["bench", "--bench-lens", "8,16", "--reps", "2", "--dim", "8",
+                    "--seq-hidden", "8", "--ch-hidden", "8", "--layers", "1"]
+        else:
+            dataset = str(synth(tmp_path))
+            argv = ["train", "--dataset", dataset, "--k", "2"] + FAST
+        if command == "eval":
+            assert cli.main(argv + ["--out", str(tmp_path / "train")]) == 0
+            argv = ["eval", "--dataset", dataset,
+                    "--checkpoint", str(tmp_path / "train" / "checkpoint.bin")]
+        out = tmp_path / "out"
+        code = cli.main(argv + flags + ["--config", str(tmp_path / "run.conf"),
+                                        "--out", str(out)])
         assert code == 2
+        assert not any(out.glob("*"))  # a failed command writes nothing
 
-    @pytest.mark.parametrize("command, message", [
-        (["synth", "--max-len", "1"], "max_len"),
-        (["ingest", "--max-len", "1"], "max_len"),
-        (["ingest", "--min-interactions", "0"], "min_interactions"),
-        (["search", "--config", "{conf}"], "search mode"),
+    @pytest.mark.parametrize("command, conf, message", [
+        (["synth", "--max-len", "1"], "", "max_len"),
+        (["ingest", "--max-len", "1"], "", "max_len"),
+        (["ingest", "--min-interactions", "0"], "", "min_interactions"),
+        (["search", "--config", "{conf}"], "search_mode = bogus\n", "search mode"),
+        (["search", "--K", "0,1"], "", "windows must be >= 1"),
+        (["ingest", "--delimiter", ""], "", "delimiter"),
+        (["ingest", "--config", "{conf}"], "delimiter =\n", "delimiter"),
+        (["ingest", "--config", "{conf}"], "format = bogus\n", "format"),
+        (["ingest", "--format", "bogus"], "", "'bogus'"),
+        (["train", "--activation", "tanh"], "", "'tanh'"),
+        (["train", "--norm-axis", "diagonal"], "", "'diagonal'"),
+        (["search", "--search-mode", "bogus"], "", "'bogus'"),
+        (["eval", "--split", "train"], "", "'train'"),
     ], ids=["synth-max-len-1", "ingest-max-len-1", "ingest-min-interactions-0",
-            "search-mode-in-file"])
+            "search-mode-in-file", "search-window-0", "empty-delimiter-flag",
+            "empty-delimiter-in-file", "unknown-format-in-file", "format-flag",
+            "activation-flag", "norm-axis-flag", "search-mode-flag", "split-flag"])
     def test_bad_data_or_search_setting_is_usage_error(self, tmp_path, capsys, command,
-                                                       message):
-        (tmp_path / "run.conf").write_text("search_mode = bogus\n")
+                                                       conf, message):
+        (tmp_path / "run.conf").write_text(conf)
         (tmp_path / "log.tsv").write_text("".join(f"u{t % 2}\ti{t}\t{t}\n" for t in range(12)))
+        dataset = [] if command[0] in ("synth", "ingest") else ["--dataset", str(synth(tmp_path))]
         inputs = {"synth": [],
                   "ingest": ["--input", str(tmp_path / "log.tsv"), "--min-interactions", "3"],
-                  "search": ["--dataset", str(synth(tmp_path))] + FAST}[command[0]]
-        argv = [command[0]] + inputs + [arg.format(conf=tmp_path / "run.conf")
-                                        for arg in command[1:]]
+                  "search": FAST, "train": ["--k", "2"] + FAST,
+                  "eval": ["--checkpoint", str(tmp_path / "absent.bin")]}[command[0]]
+        argv = [command[0]] + dataset + inputs + [arg.format(conf=tmp_path / "run.conf")
+                                                  for arg in command[1:]]
         capsys.readouterr()
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
+
     def test_python_dash_m_runs_the_cli(self):
         src = str(Path(mixrec.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -128,8 +246,19 @@ class TestConfigResolution:
         assert resolved["len"] == "30"       # built-in default
         assert resolved["seed"] == "0"
 
-    def test_train_keys_are_exactly_the_train_config_fields(self):
-        assert set(cli.TRAIN_KEYS) == {f.name for f in dataclasses.fields(TrainConfig)}
+    def test_every_command_keeps_its_options(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+        assert got == COMMAND_OPTIONS
+        assert {name: len(opts) for name, opts in got.items()} == {
+            "ingest": 9, "synth": 9, "search": 25, "train": 24, "eval": 8, "oracle": 23,
+            "sweep": 25, "ablate": 23, "bench": 15}
+
+    def test_default_synth_run_archives_the_pinned_config(self, tmp_path):
+        assert cli.main(["synth", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "config.resolved").read_text() == DEFAULT_RESOLVED
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -267,6 +396,24 @@ class TestArtifacts:
             pair = (cut, checkpoint) if kind == "dataset" else (dataset, cut)
             code, _ = self.evaluate(tmp_path, *pair, name=f"eval{i}")
             assert code == 3, (kind, n)
+
+    def test_checkpoint_header_is_pinned(self, tmp_path):
+        cfg = model.ModelConfig(num_items=7, max_len=5, dim=3, seq_hidden=4, ch_hidden=2,
+                                layers=1, windows=(1, 3), dropout=0.25, activation="relu",
+                                norm_axis="sequence", disable_channel_mixer=True)
+        path = tmp_path / "checkpoint.bin"
+        model.save_checkpoint(path, model.init_params(cfg, np.random.default_rng(0)), cfg)
+        assert path.read_bytes().split(b"\n")[1].decode() == CHECKPOINT_HEADER
+        assert model.load_checkpoint(path)[1] == cfg
+
+    def test_a_header_missing_a_config_key_is_a_data_error(self, tmp_path):
+        dataset, checkpoint = self.trained(tmp_path)
+        magic, head, payload = checkpoint.read_bytes().split(b"\n", 2)
+        header = json.loads(head)
+        del header["config"]["norm_axis"]
+        checkpoint.write_bytes(
+            magic + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        assert self.evaluate(tmp_path, dataset, checkpoint, "eval")[0] == 3
 
     def test_headers_with_empty_feature_keys_still_load(self, tmp_path):
         # earlier releases wrote "num_feature_fields": 0 into the dataset

@@ -79,16 +79,16 @@ class TestSequenceMixer:
         cfg = toy_cfg()
         params = m.init_params(cfg, np.random.default_rng(1))
         zero_mixer_weights(params)
-        x = nk.Tensor2(np.random.default_rng(2).normal(size=(cfg.dim, cfg.max_len)))
-        out = m.sequence_mixer(x, params.long_stack[0], cfg)
+        x = nk.Tensor2(np.random.default_rng(2).normal(size=(cfg.dim, cfg.max_len)).T)
+        out = m.sequence_mixer_block(x, params.long_stack[0], cfg, blocks=1)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_zero_second_projection_is_identity(self):
         cfg = toy_cfg()
         params = m.init_params(cfg, np.random.default_rng(1))
         params.long_stack[0].seq_w2.data[...] = 0.0
-        x = nk.Tensor2(np.random.default_rng(3).normal(size=(cfg.dim, cfg.max_len)))
-        out = m.sequence_mixer(x, params.long_stack[0], cfg)
+        x = nk.Tensor2(np.random.default_rng(3).normal(size=(cfg.dim, cfg.max_len)).T)
+        out = m.sequence_mixer_block(x, params.long_stack[0], cfg, blocks=1)
         np.testing.assert_allclose(out.data, x.data, atol=1e-15)
 
     def test_matches_direct_formula(self):
@@ -99,7 +99,7 @@ class TestSequenceMixer:
         layer.seq_gamma.data[...] = rng.normal(size=(1, 2))
         layer.seq_beta.data[...] = rng.normal(size=(1, 2))
         x_td = rng.normal(size=(3, 2))
-        got = m.sequence_mixer(nk.Tensor2(x_td.T), layer, cfg).data.T
+        got = m.sequence_mixer_block(nk.Tensor2(x_td), layer, cfg, blocks=1).data
         np.testing.assert_allclose(got, seq_mixer_oracle(x_td, layer), atol=1e-12)
 
     def test_batched_equals_per_example(self):
@@ -111,7 +111,7 @@ class TestSequenceMixer:
         stacked = nk.Tensor2(np.vstack(tables))
         batched = m.sequence_mixer_block(stacked, layer, cfg, blocks=3).data
         for i, table in enumerate(tables):
-            single = m.sequence_mixer(nk.Tensor2(table.T), layer, cfg).data.T
+            single = m.sequence_mixer_block(nk.Tensor2(table), layer, cfg, blocks=1).data
             np.testing.assert_allclose(
                 batched[i * cfg.max_len:(i + 1) * cfg.max_len], single, atol=1e-12)
 
@@ -120,9 +120,9 @@ class TestSequenceMixer:
         cfg_seq = toy_cfg(norm_axis="sequence")
         rng = np.random.default_rng(6)
         params = m.init_params(cfg_ch, rng)
-        x = nk.Tensor2(rng.normal(size=(cfg_ch.dim, cfg_ch.max_len)))
-        a = m.sequence_mixer(x, params.long_stack[0], cfg_ch).data
-        b = m.sequence_mixer(x, params.long_stack[0], cfg_seq).data
+        x = nk.Tensor2(rng.normal(size=(cfg_ch.dim, cfg_ch.max_len)).T)
+        a = m.sequence_mixer_block(x, params.long_stack[0], cfg_ch, blocks=1).data
+        b = m.sequence_mixer_block(x, params.long_stack[0], cfg_seq, blocks=1).data
         assert np.abs(a - b).max() > 1e-8
 
 
@@ -132,7 +132,7 @@ class TestChannelMixer:
         params = m.init_params(cfg, np.random.default_rng(1))
         zero_mixer_weights(params)
         x = nk.Tensor2(np.random.default_rng(7).normal(size=(cfg.max_len, cfg.dim)))
-        out = m.channel_mixer(x, params.long_stack[0], cfg)
+        out = m.channel_mixer_block(x, params.long_stack[0], cfg)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_matches_direct_formula(self):
@@ -141,7 +141,7 @@ class TestChannelMixer:
         params = m.init_params(cfg, rng)
         layer = params.long_stack[0]
         x_td = rng.normal(size=(1, 2))
-        got = m.channel_mixer(nk.Tensor2(x_td), layer, cfg).data
+        got = m.channel_mixer_block(nk.Tensor2(x_td), layer, cfg).data
         np.testing.assert_allclose(got, ch_mixer_oracle(x_td, layer), atol=1e-12)
 
     def test_equal_positions_give_equal_rows(self):
@@ -150,7 +150,7 @@ class TestChannelMixer:
         params = m.init_params(cfg, rng)
         row = rng.normal(size=(1, cfg.dim))
         x = nk.Tensor2(np.vstack([row, row]))
-        out = m.channel_mixer(x, params.long_stack[0], cfg).data
+        out = m.channel_mixer_block(x, params.long_stack[0], cfg).data
         np.testing.assert_array_equal(out[0], out[1])
 
 
@@ -169,8 +169,8 @@ class TestStack:
         params = m.init_params(cfg, rng)
         layer = params.long_stack[0]
         x = rng.normal(size=(cfg.max_len, cfg.dim))
-        manual = m.channel_mixer(
-            nk.transpose(m.sequence_mixer(nk.Tensor2(x.T), layer, cfg)), layer, cfg)
+        manual = m.channel_mixer_block(
+            m.sequence_mixer_block(nk.Tensor2(x), layer, cfg, blocks=1), layer, cfg)
         out = m.stack_forward(nk.Tensor2(x), [layer], cfg, blocks=1)
         np.testing.assert_allclose(out.data, manual.data, atol=1e-14)
 

@@ -89,6 +89,19 @@ class TestLayerNorm:
         err = nk.grad_check(lambda: nk.mean_all(nk.layer_norm(x, g, b)), [x, g, b])
         assert err <= 1e-6
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (4, 7), (33, 128), (256, 5), (7, 512)])
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 3e5])
+    def test_equals_the_three_pass_formula_bitwise(self, shape, scale):
+        # the deviations are taken once; x.var takes them again internally
+        rng = np.random.default_rng(shape[0] * shape[1])
+        x = rng.normal(2.0 * scale, scale, size=shape)
+        g = rng.normal(size=(1, shape[1]))
+        b = rng.normal(size=(1, shape[1]))
+        mu = x.mean(axis=1, keepdims=True)
+        y = (x - mu) * (1.0 / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5))
+        np.testing.assert_array_equal(nk.layer_norm(t(x)).data, y)
+        np.testing.assert_array_equal(nk.layer_norm(t(x), t(g), t(b)).data, y * g + b)
+
 
 class TestGelu:
     def test_zero(self):
