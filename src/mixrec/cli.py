@@ -341,7 +341,10 @@ def forward_wall_times(lens, cfg, reps, seed):
 
 
 def fit_power_law(xs, ys):
-    """Least-squares exponent of y = c * x^a in log-log space."""
+    """Least-squares exponent of y = c * x^a in log-log space; needs at
+    least two distinct ``xs``."""
+    if len(set(xs)) < 2:
+        raise UsageError(f"a power law needs at least two distinct lengths, got {list(xs)}")
     lx, ly = np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float))
     return float(np.polyfit(lx, ly, 1)[0])
 

@@ -245,8 +245,11 @@ def matmul(a, b):
     if a.cols != b.rows:
         raise ShapeError(f"matmul: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     def bwd(g):
-        _accum(a, g @ b.data.T, owned=True)
-        _accum(b, a.data.T @ g, owned=True)
+        # a constant operand (a frozen weight) gets no product
+        if a.requires_grad:
+            _accum(a, g @ b.data.T, owned=True)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g, owned=True)
     return _node(a.data @ b.data, (a, b), bwd)
 
 
@@ -316,8 +319,10 @@ def row_dot(a, b):
     if a.data.shape != b.data.shape:
         raise ShapeError(f"row_dot: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
     def bwd(g):
-        _accum(a, g * b.data, owned=True)
-        _accum(b, g * a.data, owned=True)
+        if a.requires_grad:
+            _accum(a, g * b.data, owned=True)
+        if b.requires_grad:
+            _accum(b, g * a.data, owned=True)
     return _node((a.data * b.data).sum(axis=1, keepdims=True), (a, b), bwd)
 
 

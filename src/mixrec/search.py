@@ -69,18 +69,27 @@ class SearchResult:
 
 
 @contextmanager
-def swapped_weights(params, virtual):
-    """Temporarily point every leaf at the virtual weight arrays."""
-    saved = {}
+def swapped_weights(params, virtual, frozen=False):
+    """Temporarily point every leaf at the virtual weight arrays.
+
+    With ``frozen`` the leaves are also constants for the duration: no op
+    that reads only weights records a node, so a backward pass replays just
+    the part of the graph that depends on the architecture logits, and the
+    weights' ``grad`` buffers are left as they were. The forward values are
+    the same either way.
+    """
     leaves = params.leaves()
+    saved = [(leaf.data, leaf.requires_grad) for _, leaf in leaves]
     for name, leaf in leaves:
-        saved[name] = leaf.data
         leaf.data = virtual[name]
+        if frozen:
+            leaf.requires_grad = False
     try:
         yield
     finally:
-        for name, leaf in leaves:
-            leaf.data = saved[name]
+        for (_, leaf), (data, requires_grad) in zip(leaves, saved):
+            leaf.data = data
+            leaf.requires_grad = requires_grad
 
 
 def weight_gradients(batch, params, arch, model_cfg, rng):
@@ -127,24 +136,35 @@ class Searcher:
         self.dist = PopularityDist(dataset.item_counts)
         self.last_val_loss = None
 
-    def alpha_gradient(self, val_batch, inner_batch):
-        """d(validation loss)/d(alpha) at the one-step lookahead weights."""
-        lr = self.cfg.train.learning_rate
-        virtual = approx_inner(self.params, self.arch, inner_batch, lr,
-                               self.model_cfg, self.dropout_rng)
+    def _loss_at(self, batch, weights, frozen):
+        """Zero every gradient, then run and replay ``batch``'s training-mode
+        loss at ``weights``; returns the loss. With ``frozen`` only alpha
+        gets a gradient (the weight grads stay zero)."""
         leaves = self.params.leaves()
-        with swapped_weights(self.params, virtual):
+        with swapped_weights(self.params, weights, frozen=frozen):
             for _, leaf in leaves:
                 leaf.zero_grad()
             self.arch.alpha.zero_grad()
-            loss = batch_loss(val_batch, self.params, self.model_cfg, arch=self.arch,
+            loss = batch_loss(batch, self.params, self.model_cfg, arch=self.arch,
                               train_mode=True, rng=self.dropout_rng)
             nk.backward(loss)
-            grad = self.arch.alpha.grad.copy()
-            self.last_val_loss = loss.item()
-            if self.cfg.mode == "one_step_unrolled":
-                moved = {name: leaf.grad.copy() for name, leaf in leaves}
-        if self.cfg.mode == "one_step_unrolled":
+        return loss
+
+    def alpha_gradient(self, val_batch, inner_batch):
+        """d(validation loss)/d(alpha) at the one-step lookahead weights.
+
+        The first-order pass reads only alpha's gradient, so it runs with the
+        weights frozen; the unrolled mode also needs the validation gradient
+        of the weights, so its validation pass keeps the whole tape.
+        """
+        lr = self.cfg.train.learning_rate
+        virtual = approx_inner(self.params, self.arch, inner_batch, lr,
+                               self.model_cfg, self.dropout_rng)
+        unrolled = self.cfg.mode == "one_step_unrolled"
+        self.last_val_loss = self._loss_at(val_batch, virtual, frozen=not unrolled).item()
+        grad = self.arch.alpha.grad.copy()
+        if unrolled:
+            moved = {name: leaf.grad.copy() for name, leaf in self.params.leaves()}
             grad -= lr * self._alpha_hessian_vector(inner_batch, moved)
         return grad
 
@@ -152,7 +172,8 @@ class Searcher:
         """Finite-difference d/d(alpha) of <grad_W L_train, direction>.
 
         This is the chain-rule term from differentiating through the virtual
-        step; the probe radius follows the usual 0.01/|d| scaling.
+        step; the probe radius follows the usual 0.01/|d| scaling. Each probe
+        reads only alpha's gradient, so it runs with the weights frozen.
         """
         norm = np.sqrt(sum(float((g * g).sum()) for g in direction.values()))
         if norm == 0.0:
@@ -163,14 +184,8 @@ class Searcher:
         def alpha_grad_at(sign):
             shifted = {name: leaf.data + sign * eps * direction[name]
                        for name, leaf in leaves}
-            with swapped_weights(self.params, shifted):
-                for _, leaf in leaves:
-                    leaf.zero_grad()
-                self.arch.alpha.zero_grad()
-                loss = batch_loss(inner_batch, self.params, self.model_cfg,
-                                  arch=self.arch, train_mode=True, rng=self.dropout_rng)
-                nk.backward(loss)
-                return self.arch.alpha.grad.copy()
+            self._loss_at(inner_batch, shifted, frozen=True)
+            return self.arch.alpha.grad.copy()
 
         return (alpha_grad_at(+1.0) - alpha_grad_at(-1.0)) / (2.0 * eps)
 

@@ -34,7 +34,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        for name in ("batch_size", "max_epochs", "patience", "negatives_per_positive"):
+        for name in ("batch_size", "max_epochs", "patience", "negatives_per_positive",
+                     "eval_cutoff"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.eval_negatives < 0:

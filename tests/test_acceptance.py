@@ -160,6 +160,7 @@ def recovery_runs(planted_a):
     return searches, oracles, time.perf_counter() - t0
 
 
+@pytest.mark.slow
 class TestCriterion3PlantedRecovery:
     def test_search_recovers_planted_window(self, recovery_runs):
         searches, oracles, elapsed = recovery_runs
@@ -173,6 +174,7 @@ class TestCriterion3PlantedRecovery:
                       f"{elapsed:.0f}s (< 900s)")
 
 
+@pytest.mark.slow
 class TestSupplementaryNoisyRecovery:
     """Not a numbered criterion: demonstrates that the planted window is
     recovered once it is statistically identifiable. At noise 0 the chain is
@@ -212,6 +214,7 @@ class TestSupplementaryNoisyRecovery:
                       f"{search_picks}")
 
 
+@pytest.mark.slow
 class TestCriterion4SearchEfficiencyShape:
     def test_oracle_scales_linearly_search_sublinearly(self):
         log = d.synthesize_log(100, 20, 50, 2, 0.0, np.random.default_rng(5))
@@ -292,6 +295,7 @@ def trained_b(planted_b):
     return cfg, params, result
 
 
+@pytest.mark.slow
 class TestCriterion7LearningSignal:
     def test_trained_model_beats_null_five_fold(self, planted_b, trained_b):
         cfg, params, result = trained_b
@@ -334,6 +338,7 @@ def ablation_runs(planted_abl):
     return results
 
 
+@pytest.mark.slow
 class TestCriterion8AblationDirection:
     def test_sequence_mixer_matters_most(self, ablation_runs):
         full = np.array(ablation_runs["full"])

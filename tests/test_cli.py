@@ -165,10 +165,16 @@ class TestDispatchAndExitCodes:
         ("eval", "", ["--eval-negatives", "-1"]),
         ("bench", "", ["--reps", "0"]),
         ("bench", "", ["--bench-lens", "1"]),
+        ("train", "", ["--eval-cutoff", "0"]),
+        ("train", "eval_cutoff = 0\n", []),
+        ("eval", "", ["--eval-cutoff", "0"]),
+        ("bench", "", ["--bench-lens", "8"]),
+        ("bench", "", ["--bench-lens", "8,8"]),
     ], ids=["int-in-file", "float-in-file", "window-past-max-len", "dim-0", "layers-0",
             "batch-size-0", "negatives-per-positive--1", "eval-negatives--1", "max-epochs-0",
             "negatives-per-positive-0-in-file", "eval-eval-negatives--1", "bench-reps-0",
-            "bench-lens-1"])
+            "bench-lens-1", "eval-cutoff-0", "eval-cutoff-0-in-file", "eval-eval-cutoff-0",
+            "bench-one-length", "bench-one-distinct-length"])
     def test_bad_config_value_is_usage_error(self, tmp_path, command, conf, flags):
         (tmp_path / "run.conf").write_text(conf)
         if command == "bench":
@@ -367,6 +373,12 @@ class TestPipelines:
                          "--out", str(out)]) == 0
         summary = json.loads((out / "bench_summary.json").read_text())
         assert "exponent" in summary
+
+    def test_power_law_needs_two_distinct_lengths(self):
+        assert cli.fit_power_law([8, 16], [1.0, 4.0]) == pytest.approx(2.0)
+        for xs in ([8], [8, 8]):
+            with pytest.raises(cli.UsageError, match="two distinct lengths"):
+                cli.fit_power_law(xs, [1.0] * len(xs))
 
 
 class TestArtifacts:

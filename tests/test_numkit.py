@@ -347,6 +347,26 @@ class TestGradientBuffers:
         assert c.grad is None and g.grad is None
         assert np.array_equal(x.grad, g.data * c.data)
 
+    @pytest.mark.parametrize("op, shapes", [
+        (nk.matmul, ((4, 3), (3, 5))),
+        (nk.row_dot, ((4, 3), (4, 3))),
+    ], ids=["matmul", "row_dot"])
+    @pytest.mark.parametrize("constant", [0, 1], ids=["left-constant", "right-constant"])
+    def test_constant_operand_skips_its_product(self, op, shapes, constant):
+        rng = np.random.default_rng(3)
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        up = rng.normal(size=op(t(arrays[0]), t(arrays[1])).shape)
+
+        def grads(taped):
+            operands = [t(a, grad=g) for a, g in zip(arrays, taped)]
+            nk.backward(nk.sum_all(nk.mul(op(*operands), t(up))))
+            return [o.grad for o in operands]
+
+        both = grads((True, True))
+        one = grads(tuple(i != constant for i in range(2)))
+        assert one[constant] is None
+        assert np.array_equal(one[1 - constant], both[1 - constant])
+
     def test_node_feeding_both_add_operands_gets_its_own_buffer(self):
         rng = np.random.default_rng(1)
         x = t(rng.normal(size=(2, 3)), grad=True)

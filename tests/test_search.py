@@ -170,6 +170,100 @@ class TestSearchSteps:
         assert np.abs(grads["first_order"] - grads["one_step_unrolled"]).max() > 0
 
 
+def taped_alpha_gradient(searcher, val_batch, inner_batch):
+    """``Searcher.alpha_gradient`` with every weight on the tape in every
+    pass: the same losses, dropout draws and formulas, plus the weight
+    gradients that only the unrolled validation pass reads."""
+    lr = searcher.cfg.train.learning_rate
+    leaves = searcher.params.leaves()
+
+    def taped_pass(batch, weights):
+        with se.swapped_weights(searcher.params, weights):
+            for _, leaf in leaves:
+                leaf.zero_grad()
+            searcher.arch.alpha.zero_grad()
+            loss = tr.batch_loss(batch, searcher.params, searcher.model_cfg,
+                                 arch=searcher.arch, train_mode=True, rng=searcher.dropout_rng)
+            nk.backward(loss)
+        return searcher.arch.alpha.grad.copy(), {name: leaf.grad.copy() for name, leaf in leaves}
+
+    virtual = se.approx_inner(searcher.params, searcher.arch, inner_batch, lr,
+                              searcher.model_cfg, searcher.dropout_rng)
+    grad, moved = taped_pass(val_batch, virtual)
+    if searcher.cfg.mode == "one_step_unrolled":
+        eps = 0.01 / np.sqrt(sum(float((g * g).sum()) for g in moved.values()))
+        plus, minus = (taped_pass(inner_batch, {name: leaf.data + sign * eps * moved[name]
+                                                for name, leaf in leaves})[0]
+                       for sign in (+1.0, -1.0))
+        grad -= lr * ((plus - minus) / (2.0 * eps))
+    return grad
+
+
+def search_batches(ds, searcher):
+    train = tr.make_batches(ds, ds.split_examples("train"), 16, 1,
+                            searcher.dist, np.random.default_rng(0), "train")
+    val = tr.make_batches(ds, ds.split_examples("val"), 16, 1,
+                          searcher.dist, np.random.default_rng(1), "val")
+    return val[0], train[0]
+
+
+def mode_searcher(ds, mode, dropout=0.0):
+    scfg = search_cfg(windows=(1, 2, 4))
+    scfg.mode = mode
+    return se.Searcher(ds, model_cfg(ds, windows=(1, 2, 4), dropout=dropout), scfg)
+
+
+class TestAlphaOnlyPasses:
+    """The passes that read only alpha's gradient run with the weights frozen."""
+
+    @pytest.mark.parametrize("mode", ["first_order", "one_step_unrolled"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_same_bits_as_the_fully_taped_passes(self, mode, dropout):
+        ds = planted()
+        frozen, taped = mode_searcher(ds, mode, dropout), mode_searcher(ds, mode, dropout)
+        val, inner = search_batches(ds, frozen)
+        for _ in range(2):  # the second call starts from the first's dropout stream
+            want = taped_alpha_gradient(taped, val, inner)
+            got = frozen.alpha_gradient(val, inner)
+            assert np.abs(want).max() > 0
+            np.testing.assert_array_equal(got, want)
+        # every pass drew the same dropout masks, in the same order
+        assert frozen.dropout_rng.random() == taped.dropout_rng.random()
+
+    def test_first_order_leaves_weight_gradients_zero(self):
+        ds = planted()
+        searcher = mode_searcher(ds, "first_order")
+        grad = searcher.alpha_gradient(*search_batches(ds, searcher))
+        assert np.abs(grad).max() > 0
+        for name, leaf in searcher.params.leaves():
+            assert not leaf.grad.any(), name
+
+    @pytest.mark.parametrize("mode", ["first_order", "one_step_unrolled"])
+    def test_leaves_are_taped_again_after_the_pass(self, mode):
+        ds = planted()
+        searcher = mode_searcher(ds, mode)
+        searcher.alpha_gradient(*search_batches(ds, searcher))
+        assert all(leaf.requires_grad for _, leaf in searcher.params.leaves())
+
+    def test_leaves_are_taped_again_after_an_exception(self, monkeypatch):
+        ds = planted()
+        searcher = mode_searcher(ds, "first_order")
+        before = searcher.params.copy_data()
+        real = se.batch_loss
+
+        def fails_when_frozen(*args, **kwargs):
+            if not searcher.params.out_w.requires_grad:
+                raise RuntimeError("inside the frozen pass")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(se, "batch_loss", fails_when_frozen)
+        with pytest.raises(RuntimeError, match="frozen pass"):
+            searcher.alpha_gradient(*search_batches(ds, searcher))
+        for name, leaf in searcher.params.leaves():
+            assert leaf.requires_grad, name
+            np.testing.assert_array_equal(leaf.data, before[name])
+
+
 class TestRunSearch:
     def test_probabilities_stay_normalized_every_epoch(self):
         ds = planted()
