@@ -21,7 +21,7 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 def _keep_freed_arrays_in_heap():
-    """Fix glibc's mmap and trim thresholds for this process.
+    """Fix glibc's mmap threshold at 32 MB and switch heap trimming off.
 
     Every op allocates its output and its backward temporaries afresh, a
     few MB each, and frees them a moment later. With glibc's adaptive
@@ -29,17 +29,24 @@ def _keep_freed_arrays_in_heap():
     goes back to the kernel, to be faulted in again page by page, depends
     on where long-lived objects happened to land at start-up: on 2 vCPU,
     one search epoch took 0.9M or 2.4M minor faults from run to run of the
-    same input, and 16 s or 23 s. With fixed thresholds, arrays under 32 MB come from
-    the heap and up to 64 MB of free space at its top is kept, which is the
-    state glibc's own adaptation ends in after it frees a 32 MB array. A
-    C library without ``mallopt`` is left as it is.
+    same input, and 16 s or 23 s. With the mmap threshold fixed, arrays
+    under 32 MB always come from the heap. ``backward`` frees a tape from
+    its last node to its first, so the free space at the top of the heap
+    grows by the whole tape (about 0.9 GB on the paper-default model at
+    B=32); any trim threshold below that hands it to the kernel, and the
+    next forward faults it back in. Measured on that model (2 vCPU, glibc
+    2.36), per two-epoch fit after the first: 9k-29k minor faults and
+    about 0.3 s more per fit with 64 MB kept, up to 14k faults with 256 MB,
+    and 0-750 with trimming off. A C library without ``mallopt`` is left
+    as it is.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20) and mallopt(_M_TRIM_THRESHOLD, 64 << 20))
+    # a trim threshold of -1 means never trim
+    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20) and mallopt(_M_TRIM_THRESHOLD, -1))
 
 
 HEAP_THRESHOLDS_SET = _keep_freed_arrays_in_heap()
@@ -64,6 +71,16 @@ class ShapeError(ValueError):
 
 class NumericalError(ArithmeticError):
     """A forward or backward value became non-finite."""
+
+
+class GraphReleasedError(RuntimeError):
+    """``backward`` reached a node of a graph that an earlier ``backward``
+    already replayed and freed."""
+
+
+def _replayed(g):
+    """The backward closure of every node ``backward`` has run: raises."""
+    raise GraphReleasedError("this graph was already replayed by backward; run the forward again")
 
 
 _grad_enabled = [True]
@@ -171,7 +188,15 @@ def _accum(t, g, owned=False):
 
 
 def backward(root):
-    """Reverse-replay the graph below ``root``, accumulating leaf gradients."""
+    """Reverse-replay the graph below ``root``, accumulating leaf gradients.
+
+    Each interior node is released as soon as its closure has run: the
+    closure, with the operands, masks and buffers it saved, and the links to
+    its parents are dropped, so the tape shrinks as the replay goes down it
+    and no tape outlives its backward. A released node cannot be replayed
+    again: reaching one raises ``GraphReleasedError`` before any gradient
+    moves.
+    """
     topo = []
     visited = set()
     stack = [(root, False)]
@@ -182,6 +207,8 @@ def backward(root):
             continue
         if id(node) in visited:
             continue
+        if node._backward is _replayed:
+            _replayed(None)  # before any gradient moves
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -192,10 +219,12 @@ def backward(root):
     if root.grad is None:
         root.grad = np.zeros_like(root.data)
     root.grad += np.ones_like(root.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
             node._backward(node.grad)
             node.grad = None  # interior buffers are single-use
+            node._parents, node._backward = (), _replayed
 
 
 def _unbroadcast(g, shape):

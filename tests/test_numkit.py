@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -410,6 +411,51 @@ class TestGradientBuffers:
         assert np.array_equal(v2.grad, h.data.T @ up.data)
 
 
+class TestReleasedTape:
+    """``backward`` frees each node's saved tensors once its closure has run."""
+
+    def dropout_gelu_graph(self):
+        """sum(gelu(x @ w) * mask), with weakrefs to the GELU's saved cdf
+        buffer and to the dropout mask's array."""
+        rng = np.random.default_rng(4)
+        x = t(rng.normal(size=(6, 4)), grad=True)
+        w = t(rng.normal(size=(4, 8)), grad=True)
+        pre = nk.matmul(x, w)
+        h = nk.gelu(pre)
+        mask = nk.dropout_mask(h.shape, 0.5, rng)
+        dropped = nk.mul(h, mask)
+        loss = nk.sum_all(dropped)
+        saved = dict(zip(h._backward.__code__.co_freevars,
+                         (cell.cell_contents for cell in h._backward.__closure__)))
+        refs = [weakref.ref(saved["cf"].base), weakref.ref(mask.data)]
+        return (x, w), [pre, h, dropped, loss], refs
+
+    def test_backward_frees_saved_tensors_and_parent_links(self):
+        _, interior, refs = self.dropout_gelu_graph()
+        assert all(ref() is not None for ref in refs)
+        nk.backward(interior[-1])
+        assert all(ref() is None for ref in refs)
+        for node in interior:
+            assert node._parents == () and node._backward is nk._replayed
+
+    def test_second_backward_on_the_same_root_raises(self):
+        leaves, interior, _ = self.dropout_gelu_graph()
+        nk.backward(interior[-1])
+        grads = [leaf.grad.copy() for leaf in leaves]
+        with pytest.raises(nk.GraphReleasedError):
+            nk.backward(interior[-1])
+        for leaf, g in zip(leaves, grads):
+            assert np.array_equal(leaf.grad, g)
+
+    def test_replayed_interior_node_in_a_new_graph_raises(self):
+        leaves, interior, _ = self.dropout_gelu_graph()
+        nk.backward(interior[-1])
+        reused = nk.sum_all(nk.scale(interior[1], 2.0))
+        with pytest.raises(RuntimeError):
+            nk.backward(reused)
+        assert issubclass(nk.GraphReleasedError, RuntimeError)
+
+
 class TestGradCheckHarness:
     def test_sum_of_squares_closed_form(self):
         theta = t([[1.0, 2.0]], grad=True)
@@ -431,33 +477,50 @@ class TestGradCheckHarness:
 
 
 class TestHeapThresholds:
-    # three 12 MB arrays per round: with glibc's adaptive thresholds the
-    # first free sets the trim threshold to 24 MB, and every later round
-    # hands its 36 MB back to the kernel and faults it in again
+    # each round allocates ``count`` 12 MB arrays and frees them last first,
+    # as ``backward`` frees a tape; prints the minor faults of the later rounds
     CHURN = textwrap.dedent("""
         import resource
+        import sys
         import numpy as np
         from mixrec import numkit
 
-        def churn():
-            arrays = [np.ones(3 << 19) for _ in range(3)]
-            del arrays
+        def churn(count):
+            arrays = [np.ones(3 << 19) for _ in range(count)]
+            while arrays:
+                arrays.pop()
 
-        churn()
+        count, rounds = map(int, sys.argv[1:])
+        churn(count)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(10):
-            churn()
+        for _ in range(rounds):
+            churn(count)
         print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     """)
 
-    @pytest.mark.skipif(not nk.HEAP_THRESHOLDS_SET, reason="C library has no mallopt")
-    def test_freed_arrays_are_reused_without_page_faults(self):
+    def faults(self, count, rounds):
         src = str(Path(nk.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", self.CHURN], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = subprocess.run([sys.executable, "-c", self.CHURN, str(count), str(rounds)],
+                              env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        # kept in the heap: 0 faults; re-faulted each round: 15k on a 2-vCPU
-        # glibc 2.36 host, and at least 180 even if every page were huge
-        assert int(done.stdout) < 50
+        return int(done.stdout)
+
+    @pytest.mark.skipif(not nk.HEAP_THRESHOLDS_SET, reason="C library has no mallopt")
+    def test_freed_arrays_are_reused_without_page_faults(self):
+        # three arrays: with glibc's adaptive thresholds the first free sets
+        # the trim threshold to 24 MB, and every later round hands its 36 MB
+        # back to the kernel and faults it in again. Kept in the heap: 0
+        # faults; re-faulted each round: 15k on a 2-vCPU glibc 2.36 host, and
+        # at least 180 even if every page were huge
+        assert self.faults(3, 10) < 50
+
+    @pytest.mark.skipif(not nk.HEAP_THRESHOLDS_SET, reason="C library has no mallopt")
+    def test_a_released_tape_is_reused_without_page_faults(self):
+        # eight arrays, 96 MB: the free top of the heap grows past 64 MB.
+        # Kept in the heap: 0 faults; with a 64 MB trim threshold each round
+        # trims the top off and faults it in again: 15k faults in five rounds
+        # on a 2-vCPU glibc 2.36 host, and at least 180 even if every page of
+        # the 72 MB past the threshold were huge
+        assert self.faults(8, 5) < 50

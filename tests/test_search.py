@@ -1,5 +1,7 @@
 """Bilevel window-search mechanics: lookahead, disjoint updates, oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,19 @@ class TestRunSearch:
         for ra, rb in zip(a.trace, b.trace):
             assert ra["alpha"] == rb["alpha"]
             assert ra["val_loss"] == rb["val_loss"]
+
+    def test_unrolled_dropout_trace_is_unchanged(self):
+        # recorded before backward released the tape
+        ds = planted()
+        scfg = replace(search_cfg(windows=(1, 2, 4), seed=23, max_epochs=2),
+                       mode="one_step_unrolled")
+        result, _ = se.run_search(ds, model_cfg(ds, windows=(1, 2, 4), dropout=0.5), scfg)
+        assert [(r["alpha"], r["val_loss"]) for r in result.trace] == [
+            ([-0.0028386505532497306, 0.013624702089464306, -0.013555675449120218],
+             1.3867300064468469),
+            ([-0.006622626210832358, 0.026690312057997916, -0.022496083243570927],
+             1.3868643784613297),
+        ]
 
     def test_argmax_stability_stopping(self, monkeypatch):
         ds = planted()
