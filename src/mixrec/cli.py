@@ -219,7 +219,10 @@ def _resolve_fixed_window(args, cfg):
         path = Path(args.search_result)
         if not path.exists():
             raise DataError(f"search result not found: {path}")
-        return SearchResult.from_json(path.read_text()).selected_k
+        try:
+            return SearchResult.from_json(path.read_text()).selected_k
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed search result: {exc!r}") from None
     if cfg["k"] <= 0:
         raise UsageError("train needs --k WINDOW or --search-result FILE")
     return cfg["k"]

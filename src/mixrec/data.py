@@ -85,8 +85,6 @@ def parse_interactions(source, fmt=None):
     ncols = len(fmt.columns)
 
     events = []
-    user_index, item_index = {}, {}
-    users, items = [None], [None]
     for lineno, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8")
@@ -102,15 +100,8 @@ def parse_interactions(source, fmt=None):
             ts = int(parts[col["timestamp"]])
         except ValueError:
             raise ParseError(f"non-integer timestamp {parts[col['timestamp']]!r}", lineno) from None
-        user, item = parts[col["user"]], parts[col["item"]]
-        if user not in user_index:
-            user_index[user] = len(users)
-            users.append(user)
-        if item not in item_index:
-            item_index[item] = len(items)
-            items.append(item)
-        events.append((user, item, ts, None))
-    return InteractionLog(events, user_index, item_index, users, items)
+        events.append((parts[col["user"]], parts[col["item"]], ts, None))
+    return _indexed_log(events)
 
 
 def filter_users(log, min_interactions):
@@ -122,17 +113,17 @@ def filter_users(log, min_interactions):
         counts[user] = counts.get(user, 0) + 1
     keep = {u for u, c in counts.items() if c >= min_interactions}
 
-    events = [ev for ev in log.events if ev[0] in keep]
+    return _indexed_log([ev for ev in log.events if ev[0] in keep])
+
+
+def _indexed_log(events):
+    """The log of ``events``, users and items indexed from 1 in order of
+    first appearance."""
     user_index, item_index = {}, {}
-    users, items = [None], [None]
     for user, item, _, _ in events:
-        if user not in user_index:
-            user_index[user] = len(users)
-            users.append(user)
-        if item not in item_index:
-            item_index[item] = len(items)
-            items.append(item)
-    return InteractionLog(events, user_index, item_index, users, items)
+        user_index.setdefault(user, len(user_index) + 1)
+        item_index.setdefault(item, len(item_index) + 1)
+    return InteractionLog(events, user_index, item_index, [None, *user_index], [None, *item_index])
 
 
 SPLITS = ("train", "val", "test")  # an example's split code indexes this
@@ -219,10 +210,17 @@ class SequenceDataset:
                 header = json.loads(fh.readline())
                 max_len, num_items = header["max_len"], header["num_items"]
                 item_counts = np.asarray(header["item_counts"], dtype=np.int64)
+                if len(item_counts) != num_items + 1:
+                    raise DataError(f"{path}: item_counts has {len(item_counts)} entries "
+                                    f"for {num_items} items; expected {num_items + 1}")
                 sequences = {}
                 for line in fh:
                     rec = json.loads(line)
-                    sequences[rec["user"]] = list(rec["items"])
+                    items = list(rec["items"])
+                    if not all(1 <= i <= num_items for i in items):
+                        raise DataError(f"{path}: user {rec['user']} has an item "
+                                        f"outside 1..{num_items}")
+                    sequences[rec["user"]] = items
                 return _dataset_from_sequences(sequences, max_len, num_items, item_counts)
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: malformed dataset file: {exc!r}") from None

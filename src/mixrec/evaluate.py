@@ -71,12 +71,12 @@ def example_rng(seed, user, split):
 
 
 def evaluate_split(params, cfg, dataset, split, num_negatives=100, cutoff=10,
-                   seed=0, arch=None, batch_size=256):
+                   seed=0, batch_size=256):
     """Rank each example's target against popularity-sampled negatives.
 
     Negatives exclude the user's own interacted items and are redrawn
     identically for a given (seed, user, split), so per-epoch validation
-    comparisons are paired.
+    comparisons are paired. A non-finite score raises ``NumericalError``.
     """
     examples = dataset.split_examples(split)
     if not examples:
@@ -93,7 +93,9 @@ def evaluate_split(params, cfg, dataset, split, num_negatives=100, cutoff=10,
             cands[:, 1:] = sample_negatives(
                 dist, [dataset.user_sequences[u] for u in users], num_negatives,
                 [example_rng(seed, u, split) for u in users])
-            hidden = forward_hidden(chunk.inputs(), params, cfg, arch=arch)
+            hidden = forward_hidden(chunk.inputs(), params, cfg)
             raw = score_items(hidden, cands, params)
+            if not np.isfinite(raw.data).all():
+                raise nk.NumericalError(f"non-finite ranking score on split {split!r}")
             ranks.extend(rank_of_target(raw.data, 0).tolist())
     return metrics_at_n(ranks, cutoff)

@@ -141,24 +141,6 @@ class Tensor2:
     def __repr__(self):
         return f"Tensor2({self.rows}x{self.cols}, requires_grad={self.requires_grad})"
 
-    # operator sugar; all math lives in the module-level functions
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _node(data, parents, backward_fn):
     """Create a graph node; skips recording when grads are off or unneeded."""

@@ -14,14 +14,15 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import numkit as nk
 from .data import DataError, PopularityDist
 from .model import fixed_window_config, init_arch, init_params
-from .train import AdamState, TrainConfig, adam_update, batch_loss, fit, freeze_padding_rows, make_batches
+from .train import (AdamState, TrainConfig, adam_update, batch_loss, fit, make_batches,
+                    train_step)
 
 ALPHA_KEY = "arch_alpha"
 
@@ -54,18 +55,12 @@ class SearchResult:
     mode: str
 
     def to_json(self):
-        return json.dumps({
-            "windows": list(self.windows), "alpha": self.alpha,
-            "selected_k": self.selected_k, "trace": self.trace,
-            "wall_ms": self.wall_ms, "epochs_run": self.epochs_run,
-            "mode": self.mode,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
         d = json.loads(text)
-        return cls(tuple(d["windows"]), d["alpha"], d["selected_k"], d["trace"],
-                   d["wall_ms"], d["epochs_run"], d["mode"])
+        return cls(**dict(d, windows=tuple(d["windows"])))
 
 
 @contextmanager
@@ -92,26 +87,25 @@ def swapped_weights(params, virtual, frozen=False):
             leaf.requires_grad = requires_grad
 
 
-def weight_gradients(batch, params, arch, model_cfg, rng):
-    """Gradients of the training loss w.r.t. every model weight (not alpha)."""
-    leaves = params.leaves()
-    for _, leaf in leaves:
+def _backprop_loss(batch, params, arch, model_cfg, rng):
+    """Zero every gradient, alpha's too, then run and replay ``batch``'s
+    training loss; returns the loss value."""
+    for _, leaf in params.leaves():
         leaf.zero_grad()
     arch.alpha.zero_grad()
-    loss = batch_loss(batch, params, model_cfg, arch=arch, train_mode=True, rng=rng)
+    loss = batch_loss(batch, params, model_cfg, arch=arch, rng=rng)
     nk.backward(loss)
-    return {name: leaf.grad.copy() for name, leaf in leaves}, loss.item()
+    return loss.item()
 
 
 def approx_inner(params, arch, batch, lr, model_cfg, rng):
     """Virtual one-step weights W' = W - lr * grad(training loss), uncommitted."""
-    grads, _ = weight_gradients(batch, params, arch, model_cfg, rng)
+    _backprop_loss(batch, params, arch, model_cfg, rng)
     virtual = {}
     for name, leaf in params.leaves():
-        g = grads[name]
-        if not np.isfinite(g).all():
+        if not np.isfinite(leaf.grad).all():
             raise nk.NumericalError(f"non-finite training gradient for parameter {name!r}")
-        virtual[name] = leaf.data - lr * g
+        virtual[name] = leaf.data - lr * leaf.grad
     return virtual
 
 
@@ -119,7 +113,7 @@ class Searcher:
     """Joint optimization of model weights and window logits (one run)."""
 
     def __init__(self, dataset, model_cfg, cfg):
-        if len(model_cfg.windows) != len(cfg.windows) or tuple(model_cfg.windows) != cfg.windows:
+        if tuple(model_cfg.windows) != cfg.windows:
             model_cfg = replace(model_cfg, windows=cfg.windows)
         self.dataset = dataset
         self.model_cfg = model_cfg
@@ -137,18 +131,11 @@ class Searcher:
         self.last_val_loss = None
 
     def _loss_at(self, batch, weights, frozen):
-        """Zero every gradient, then run and replay ``batch``'s training-mode
-        loss at ``weights``; returns the loss. With ``frozen`` only alpha
-        gets a gradient (the weight grads stay zero)."""
-        leaves = self.params.leaves()
+        """``_backprop_loss`` at ``weights``; with ``frozen`` only alpha gets
+        a gradient (the weight grads stay zero)."""
         with swapped_weights(self.params, weights, frozen=frozen):
-            for _, leaf in leaves:
-                leaf.zero_grad()
-            self.arch.alpha.zero_grad()
-            loss = batch_loss(batch, self.params, self.model_cfg, arch=self.arch,
-                              train_mode=True, rng=self.dropout_rng)
-            nk.backward(loss)
-        return loss
+            return _backprop_loss(batch, self.params, self.arch, self.model_cfg,
+                                  self.dropout_rng)
 
     def alpha_gradient(self, val_batch, inner_batch):
         """d(validation loss)/d(alpha) at the one-step lookahead weights.
@@ -161,7 +148,7 @@ class Searcher:
         virtual = approx_inner(self.params, self.arch, inner_batch, lr,
                                self.model_cfg, self.dropout_rng)
         unrolled = self.cfg.mode == "one_step_unrolled"
-        self.last_val_loss = self._loss_at(val_batch, virtual, frozen=not unrolled).item()
+        self.last_val_loss = self._loss_at(val_batch, virtual, frozen=not unrolled)
         grad = self.arch.alpha.grad.copy()
         if unrolled:
             moved = {name: leaf.grad.copy() for name, leaf in self.params.leaves()}
@@ -197,10 +184,8 @@ class Searcher:
 
     def weight_step(self, train_batch):
         """Update the model weights from a training mini-batch only."""
-        grads, _ = weight_gradients(train_batch, self.params, self.arch,
-                                    self.model_cfg, self.dropout_rng)
-        adam_update(self.params.leaves(), grads, self.w_state, self.cfg.train)
-        freeze_padding_rows(self.params)
+        train_step(train_batch, self.params, self.model_cfg, self.cfg.train, self.w_state,
+                   arch=self.arch, rng=self.dropout_rng)
 
     def run_epoch(self):
         """One pass: each iteration consumes one validation batch and two

@@ -121,15 +121,35 @@ def make_batches(dataset, examples, batch_size, n_neg, dist, rng, split):
     return batches
 
 
-def batch_loss(batch, params, cfg, arch=None, train_mode=True, rng=None):
-    """Mean cross-entropy over the batch: positive target vs drawn negatives."""
-    hidden = forward_hidden(batch.inputs, params, cfg, arch=arch,
-                            train_mode=train_mode, rng=rng)
+def batch_loss(batch, params, cfg, arch=None, rng=None):
+    """Mean training-mode cross-entropy over the batch: positive target vs
+    drawn negatives."""
+    hidden = forward_hidden(batch.inputs, params, cfg, arch=arch, train_mode=True, rng=rng)
     raw_pos = score_items(hidden, batch.targets[:, None], params)
     raw_neg = score_items(hidden, batch.negatives, params)
     per_example = nk.add(nk.softplus(nk.scale(raw_pos, -1.0)),
                          nk.sum_cols(nk.softplus(raw_neg)))
     return nk.mean_all(per_example)
+
+
+def train_step(batch, params, cfg, train_cfg, state, arch=None, rng=None):
+    """One committed weight step on ``batch``: the loss, then Adam on every
+    weight, with the padding row held at zero. Returns the loss value.
+
+    ``arch`` blends the candidate windows, as in the window search; its
+    logits are not updated here.
+    """
+    loss = batch_loss(batch, params, cfg, arch=arch, rng=rng)
+    value = loss.item()
+    if not math.isfinite(value):
+        raise nk.NumericalError(f"training loss became non-finite: {value}")
+    leaves = params.leaves()
+    for _, leaf in leaves:
+        leaf.zero_grad()
+    nk.backward(loss)
+    adam_update(leaves, {n: l.grad for n, l in leaves}, state, train_cfg)
+    freeze_padding_rows(params)
+    return value
 
 
 @dataclass
@@ -141,13 +161,9 @@ class FitResult:
     epochs_run: int
 
 
-def fit(dataset, params, model_cfg, cfg, arch=None, eval_seed=0):
+def fit(dataset, params, model_cfg, cfg, eval_seed=0):
     """Mini-batch training with early stopping on validation MRR@cutoff.
-
-    ``arch=None`` trains the single-window (retrained) model; passing
-    architecture weights trains through the frozen candidate blend.
-    Returns the parameters of the best validation epoch.
-    """
+    Returns the parameters of the best validation epoch."""
     train_examples = dataset.split_examples("train")
     if not train_examples:
         raise DataError("training split is empty")
@@ -155,7 +171,6 @@ def fit(dataset, params, model_cfg, cfg, arch=None, eval_seed=0):
     ss = np.random.SeedSequence(cfg.seed)
     batch_rng, dropout_rng = (np.random.default_rng(s) for s in ss.spawn(2))
 
-    leaves = params.leaves()
     state = AdamState()
     best = {"epoch": 0, "mrr": -math.inf, "snapshot": params.copy_data()}
     stale = 0
@@ -170,22 +185,13 @@ def fit(dataset, params, model_cfg, cfg, arch=None, eval_seed=0):
         t0 = time.perf_counter()
         total = 0.0
         for batch in batches:
-            loss = batch_loss(batch, params, model_cfg, arch=arch,
-                              train_mode=True, rng=dropout_rng)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise nk.NumericalError(f"training loss became non-finite at epoch {epoch}")
+            value = train_step(batch, params, model_cfg, cfg, state, rng=dropout_rng)
             total += value * len(batch.targets)
-            for _, leaf in leaves:
-                leaf.zero_grad()
-            nk.backward(loss)
-            adam_update(leaves, {n: l.grad for n, l in leaves}, state, cfg)
-            freeze_padding_rows(params)
         train_loss = total / len(train_examples)
 
         val = evaluate.evaluate_split(params, model_cfg, dataset, "val",
                                       num_negatives=cfg.eval_negatives,
-                                      cutoff=cfg.eval_cutoff, seed=eval_seed, arch=arch)
+                                      cutoff=cfg.eval_cutoff, seed=eval_seed)
         trace.append({
             "epoch": epoch, "train_loss": train_loss, "val_mrr10": val.mrr,
             "val_ndcg10": val.ndcg, "val_hr10": val.hr,

@@ -409,6 +409,40 @@ class TestArtifacts:
             code, _ = self.evaluate(tmp_path, *pair, name=f"eval{i}")
             assert code == 3, (kind, n)
 
+    def test_a_nan_weight_is_a_numerical_error(self, tmp_path):
+        dataset, checkpoint = self.trained(tmp_path)
+        raw = checkpoint.read_bytes()
+        checkpoint.write_bytes(raw[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+        assert self.evaluate(tmp_path, dataset, checkpoint, "eval")[0] == 4
+
+    @pytest.mark.parametrize("corrupt, message", [("item", "outside 1..20"),
+                                                  ("item_counts", "item_counts has 2 entries")])
+    def test_a_dataset_that_contradicts_its_header_is_a_data_error(self, tmp_path, capsys,
+                                                                    corrupt, message):
+        dataset = synth(tmp_path)
+        head, *lines = dataset.read_text().splitlines()
+        header, users = json.loads(head), [json.loads(line) for line in lines]
+        assert header["num_items"] == 20
+        if corrupt == "item":
+            users[0]["items"][-1] = 999
+        else:
+            header["item_counts"] = header["item_counts"][:2]
+        dataset.write_text("\n".join(json.dumps(rec, sort_keys=True)
+                                     for rec in [header] + users) + "\n")
+        code = cli.main(["train", "--dataset", str(dataset), "--k", "2",
+                         "--out", str(tmp_path / "train")] + FAST)
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["nope\n", '{"alpha": [1.0]}\n', "[1, 2]\n"])
+    def test_a_malformed_search_result_is_a_data_error(self, tmp_path, text):
+        result = tmp_path / "search_result.json"
+        result.write_text(text)
+        code = cli.main(["train", "--dataset", str(synth(tmp_path)),
+                         "--search-result", str(result), "--out", str(tmp_path / "train")]
+                        + FAST)
+        assert code == 3
+
     def test_checkpoint_header_is_pinned(self, tmp_path):
         cfg = model.ModelConfig(num_items=7, max_len=5, dim=3, seq_hidden=4, ch_hidden=2,
                                 layers=1, windows=(1, 3), dropout=0.25, activation="relu",

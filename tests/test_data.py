@@ -1,6 +1,7 @@
 """Tests for log parsing, splitting, negative sampling, and synthetic logs."""
 
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -167,6 +168,35 @@ class TestBuildSequences:
         path2 = tmp_path / "ds2.jsonl"
         back.save(path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def saved_lines(self, tmp_path):
+        rows = [(f"u{u}", f"i{(u * 7 + t) % 9}", t) for u in range(4) for t in range(5)]
+        path = tmp_path / "ds.jsonl"
+        d.build_sequences(log_from_rows(rows), max_len=4).save(path)
+        head, *users = path.read_text().splitlines()
+        return path, json.loads(head), [json.loads(line) for line in users]
+
+    @staticmethod
+    def write_lines(path, header, users):
+        path.write_text("\n".join(json.dumps(rec, sort_keys=True)
+                                  for rec in [header] + users) + "\n")
+
+    @pytest.mark.parametrize("item", [0, -1, 10, 999])
+    def test_load_rejects_an_item_outside_the_vocabulary(self, tmp_path, item):
+        path, header, users = self.saved_lines(tmp_path)
+        assert header["num_items"] == 9
+        users[1]["items"][2] = item
+        self.write_lines(path, header, users)
+        with pytest.raises(d.DataError, match=r"outside 1\.\.9"):
+            d.SequenceDataset.load(path)
+
+    @pytest.mark.parametrize("size", [2, 9, 11])
+    def test_load_rejects_item_counts_of_the_wrong_length(self, tmp_path, size):
+        path, header, users = self.saved_lines(tmp_path)
+        header["item_counts"] = (header["item_counts"] * 2)[:size]
+        self.write_lines(path, header, users)
+        with pytest.raises(d.DataError, match=f"item_counts has {size} entries"):
+            d.SequenceDataset.load(path)
 
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9), st.integers(0, 4)),
                     max_size=80),

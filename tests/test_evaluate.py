@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mixrec import data as d
 from mixrec import evaluate as ev
 from mixrec import model as m
+from mixrec import numkit as nk
 from mixrec import train as tr
 
 
@@ -171,6 +172,16 @@ class TestEvaluateSplit:
             assert ev.rank_of_target(probs, target) == base
             assert ev.rank_of_target(3.0 * scores + 7.0, target) == base
             assert ev.rank_of_target(np.tanh(scores), target) == base
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_score_is_a_numerical_error(self, value):
+        # one bad output bias reaches every score; ranked, a NaN score would
+        # give rank 0 and a ValueError from metrics_at_n
+        ds = planted_dataset()
+        cfg, params = tiny_model(ds)
+        params.out_b.data[0, -1] = value
+        with np.errstate(invalid="ignore"), pytest.raises(nk.NumericalError, match="non-finite"):
+            ev.evaluate_split(params, cfg, ds, "val", num_negatives=5, seed=0)
 
     def test_empty_split_rejected(self):
         ds = planted_dataset()

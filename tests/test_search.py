@@ -106,6 +106,19 @@ class TestSearchSteps:
                       for name, leaf in searcher.params.leaves())
         assert changed
 
+    def test_weight_step_rejects_a_nonfinite_loss(self):
+        # the same check as fit's: before it, the step wrote non-finite weights
+        ds = planted()
+        searcher = se.Searcher(ds, model_cfg(ds), search_cfg())
+        (batch, *_) = tr.make_batches(ds, ds.split_examples("train"), 16, 1,
+                                      searcher.dist, np.random.default_rng(0), "train")
+        searcher.params.out_w.data[...] = np.inf
+        before = searcher.params.copy_data()
+        with np.errstate(invalid="ignore"), pytest.raises(nk.NumericalError, match="non-finite"):
+            searcher.weight_step(batch)
+        for name, leaf in searcher.params.leaves():
+            np.testing.assert_array_equal(leaf.data, before[name])
+
     def test_epoch_routes_splits_to_the_right_steps(self):
         ds = planted()
         cfg = model_cfg(ds)
@@ -185,7 +198,7 @@ def taped_alpha_gradient(searcher, val_batch, inner_batch):
                 leaf.zero_grad()
             searcher.arch.alpha.zero_grad()
             loss = tr.batch_loss(batch, searcher.params, searcher.model_cfg,
-                                 arch=searcher.arch, train_mode=True, rng=searcher.dropout_rng)
+                                 arch=searcher.arch, rng=searcher.dropout_rng)
             nk.backward(loss)
         return searcher.arch.alpha.grad.copy(), {name: leaf.grad.copy() for name, leaf in leaves}
 
@@ -306,6 +319,19 @@ class TestRunSearch:
              1.3867300064468469),
             ([-0.006622626210832358, 0.026690312057997916, -0.022496083243570927],
              1.3868643784613297),
+        ]
+
+    def test_first_order_dropout_trace_is_unchanged(self):
+        # recorded before the search's weight step became train.train_step
+        ds = planted()
+        scfg = search_cfg(windows=(1, 2, 4), seed=23, max_epochs=2)
+        result, _ = se.run_search(ds, model_cfg(ds, windows=(1, 2, 4), dropout=0.5), scfg)
+        assert scfg.mode == "first_order"
+        assert [(r["alpha"], r["val_loss"]) for r in result.trace] == [
+            ([-0.006000056424653264, 0.004003843776836218, -0.0006702244096908611],
+             1.3874184070558069),
+            ([-0.004540469216399492, 0.0035489186105870955, -0.0016206591510971083],
+             1.3856002081295442),
         ]
 
     def test_argmax_stability_stopping(self, monkeypatch):
