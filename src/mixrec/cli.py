@@ -194,8 +194,11 @@ def cmd_ingest(args, cfg, out):
 
 def cmd_synth(args, cfg, out):
     rng = np.random.default_rng(cfg["seed"])
-    log = synthesize_log(cfg["users"], cfg["len"], cfg["vocab"], cfg["kstar"],
-                         cfg["noise"], rng)
+    try:
+        log = synthesize_log(cfg["users"], cfg["len"], cfg["vocab"], cfg["kstar"],
+                             cfg["noise"], rng)
+    except ValueError as exc:  # kstar, vocab or noise out of range
+        raise UsageError(str(exc)) from None
     dataset = _build_sequences(log, cfg["max_len"])
     dataset.save(out / "dataset.jsonl")
     print(json.dumps({"users": log.num_users, "items": log.num_items,
@@ -289,20 +292,20 @@ def cmd_sweep(args, cfg, out):
     write_trace(out / "sweep.jsonl", records)
 
 
+# each ablation variant and the model setting it switches on
+ABLATIONS = (("no_sequence_mixer", "disable_sequence_mixer"),
+             ("no_channel_mixer", "disable_channel_mixer"))
+
+
 def cmd_ablate(args, cfg, out):
     dataset = _load_dataset(args.dataset)
-    selected = []
-    if args.disable_sequence_mixer:
-        selected.append(("no_sequence_mixer", {"disable_sequence_mixer": True}))
-    if args.disable_channel_mixer:
-        selected.append(("no_channel_mixer", {"disable_channel_mixer": True}))
-    if not selected:  # no flag: the whole ablation table
-        selected = [("no_sequence_mixer", {"disable_sequence_mixer": True}),
-                    ("no_channel_mixer", {"disable_channel_mixer": True})]
+    # each flag selects its variant; no flag selects the whole table
+    selected = [(name, key) for name, key in ABLATIONS if getattr(args, key)] or ABLATIONS
+    base = dict(cfg, **{key: False for _, key in ABLATIONS})
+    runs = [("full", base)] + [(name, dict(base, **{key: True})) for name, key in selected]
     records = []
-    base = dict(cfg, disable_sequence_mixer=False, disable_channel_mixer=False)
-    for name, flags in [("full", {})] + selected:
-        records.append({"variant": name, **_fit_and_rank_test(dataset, dict(base, **flags))})
+    for name, run in runs:
+        records.append({"variant": name, **_fit_and_rank_test(dataset, run)})
         print(json.dumps(records[-1], sort_keys=True))
     write_trace(out / "ablate.jsonl", records)
 

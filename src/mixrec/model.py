@@ -17,6 +17,7 @@ sequence-mixer is a block transpose.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -62,6 +63,8 @@ class ModelConfig:
             raise ValueError(f"windows must be strictly increasing, got {self.windows}")
         if self.windows[-1] >= self.max_len:
             raise ValueError(f"windows must be < max_len={self.max_len}, got {self.windows}")
+        if not 0.0 <= self.dropout < 1.0:  # NaN fails too
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.activation not in ("gelu", "relu"):
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.norm_axis not in ("channel", "sequence"):
@@ -107,6 +110,12 @@ class ModelParams:
         out.append(("out_w", self.out_w))
         out.append(("out_b", self.out_b))
         return out
+
+    def with_data(self, arrays, requires_grad):
+        """The same structure over fresh leaves, none shared with ``self``:
+        leaf ``name`` holds ``arrays[name]`` itself, not a copy."""
+        memo = {id(leaf): nk.Tensor2(arrays[name], requires_grad) for name, leaf in self.leaves()}
+        return copy.deepcopy(self, memo)
 
     def copy_data(self):
         return {name: leaf.data.copy() for name, leaf in self.leaves()}
@@ -194,15 +203,15 @@ def embed(inputs, params, cfg):
     return nk.take_rows(params.item_embedding, idx)
 
 
-def _mixer_mlp(rows, w_in, w_out, cfg, train_mode, rng):
-    """rows @ w_in^T -> activation -> (dropout) -> @ w_out^T."""
+def _mixer_mlp(rows, w_in, w_out, cfg, rng):
+    """rows @ w_in^T -> activation -> (dropout, given a generator) -> @ w_out^T."""
     h = _activation(cfg, nk.matmul(rows, nk.transpose(w_in)))
-    if train_mode and cfg.dropout > 0.0:
+    if rng is not None and cfg.dropout > 0.0:
         h = nk.mul(h, nk.dropout_mask(h.shape, cfg.dropout, rng))
     return nk.matmul(h, nk.transpose(w_out))
 
 
-def sequence_mixer_block(x, layer, cfg, blocks, train_mode=False, rng=None, final_row=False):
+def sequence_mixer_block(x, layer, cfg, blocks, rng=None, final_row=False):
     """Mix across positions. ``x`` is (blocks*T) x D; returns the same shape.
 
     With ``final_row`` it returns only each block's final row, blocks x D:
@@ -219,23 +228,23 @@ def sequence_mixer_block(x, layer, cfg, blocks, train_mode=False, rng=None, fina
         # literal per-channel normalization along the sequence axis (affine-free)
         per_channel = nk.layer_norm(nk.batch_transpose(x, blocks), eps=LN_EPS)
     w_out = nk.take_rows(layer.seq_w2, [x.rows // blocks - 1]) if final_row else layer.seq_w2
-    mixed = _mixer_mlp(per_channel, layer.seq_w1, w_out, cfg, train_mode, rng)
+    mixed = _mixer_mlp(per_channel, layer.seq_w1, w_out, cfg, rng)
     return nk.add(rows, nk.batch_transpose(mixed, blocks))
 
 
-def channel_mixer_block(x, layer, cfg, train_mode=False, rng=None):
+def channel_mixer_block(x, layer, cfg, rng=None):
     """Mix across embedding channels, position by position. x is rows x D."""
     if cfg.disable_channel_mixer:
         return x
     normed = nk.layer_norm(x, layer.ch_gamma, layer.ch_beta, LN_EPS)
-    return nk.add(x, _mixer_mlp(normed, layer.ch_w3, layer.ch_w4, cfg, train_mode, rng))
+    return nk.add(x, _mixer_mlp(normed, layer.ch_w3, layer.ch_w4, cfg, rng))
 
 
-def stack_forward(x, stack, cfg, blocks, train_mode=False, rng=None):
+def stack_forward(x, stack, cfg, blocks, rng=None):
     """Apply mixer layers in order on a row-stacked (blocks*T) x D tensor."""
     for layer in stack:
-        x = sequence_mixer_block(x, layer, cfg, blocks, train_mode, rng)
-        x = channel_mixer_block(x, layer, cfg, train_mode, rng)
+        x = sequence_mixer_block(x, layer, cfg, blocks, rng)
+        x = channel_mixer_block(x, layer, cfg, rng)
     return x
 
 
@@ -250,28 +259,29 @@ def _final_rows(x, blocks):
     return nk.take_rows(x, np.arange(1, blocks + 1) * (x.rows // blocks) - 1)
 
 
-def interest_forward(x, window, stack, cfg, blocks, block_len, train_mode=False, rng=None):
+def interest_forward(x, window, stack, cfg, blocks, block_len, rng=None):
     """Run a stack over the last ``window`` positions; return the final row
     of each block as a blocks x D tensor.
 
-    Only that row is returned, so outside training the last layer computes
-    it alone: its sequence mixer projects onto the final position and its
-    channel mixer runs on blocks rows, not blocks*window. Training runs the
-    last layer on every row, so each dropout mask keeps its shape and the
+    A dropout generator ``rng`` selects training: every layer drops hidden
+    units and runs on every row, so each mask keeps its shape and the
     generator stream, and with it every training run, stays as it was.
+    Without one, the last layer computes the final row alone: its sequence
+    mixer projects onto the final position and its channel mixer runs on
+    blocks rows, not blocks*window.
     """
     if window > block_len:
         raise ValueError(f"window {window} exceeds input length {block_len}")
     sliced = x if window == block_len else _last_rows(x, blocks, block_len, window)
-    if train_mode:
-        return _final_rows(stack_forward(sliced, stack, cfg, blocks, train_mode, rng), blocks)
+    if rng is not None:
+        return _final_rows(stack_forward(sliced, stack, cfg, blocks, rng), blocks)
     *body, last = stack
     mixed = stack_forward(sliced, body, cfg, blocks)
     return channel_mixer_block(sequence_mixer_block(mixed, last, cfg, blocks, final_row=True),
                                last, cfg)
 
 
-def mixture_short_term(x, arch, params, cfg, blocks, block_len, train_mode=False, rng=None):
+def mixture_short_term(x, arch, params, cfg, blocks, block_len, rng=None):
     """Softmax-weighted blend of the candidate short-term interest outputs."""
     if len(arch.windows) != len(params.candidate_stacks):
         raise ValueError(
@@ -279,7 +289,7 @@ def mixture_short_term(x, arch, params, cfg, blocks, block_len, train_mode=False
     p = arch.probabilities()
     blended = None
     for m, (k, stack) in enumerate(zip(arch.windows, params.candidate_stacks)):
-        out = interest_forward(x, k, stack, cfg, blocks, block_len, train_mode, rng)
+        out = interest_forward(x, k, stack, cfg, blocks, block_len, rng)
         weighted = nk.mul(out, nk.slice_cols(p, m, m + 1))
         blended = weighted if blended is None else nk.add(blended, weighted)
     return blended
@@ -294,11 +304,12 @@ def fuse_output(x_short, x_long, params):
     return nk.add(nk.matmul(joint, nk.transpose(params.out_w)), params.out_b)
 
 
-def forward_hidden(inputs, params, cfg, arch=None, train_mode=False, rng=None):
+def forward_hidden(inputs, params, cfg, arch=None, rng=None):
     """Hidden state per example: B x T padded indices -> B x D tensor.
 
     ``arch=None`` requires a single candidate stack (the retrained model);
-    otherwise candidates are blended with the architecture weights.
+    otherwise candidates are blended with the architecture weights. A
+    dropout generator ``rng`` selects training (see ``interest_forward``).
     """
     inputs = np.asarray(inputs, dtype=np.intp)
     if inputs.ndim == 1:
@@ -307,14 +318,13 @@ def forward_hidden(inputs, params, cfg, arch=None, train_mode=False, rng=None):
     if t != cfg.max_len:
         raise nk.ShapeError(f"input length {t} does not match max_len {cfg.max_len}")
     x = embed(inputs, params, cfg)
-    x_long = interest_forward(x, t, params.long_stack, cfg, b, t, train_mode, rng)
+    x_long = interest_forward(x, t, params.long_stack, cfg, b, t, rng)
     if arch is None:
         if len(params.candidate_stacks) != 1:
             raise ValueError("fixed-window forward requires exactly one candidate stack")
-        x_short = interest_forward(
-            x, cfg.windows[0], params.candidate_stacks[0], cfg, b, t, train_mode, rng)
+        x_short = interest_forward(x, cfg.windows[0], params.candidate_stacks[0], cfg, b, t, rng)
     else:
-        x_short = mixture_short_term(x, arch, params, cfg, b, t, train_mode, rng)
+        x_short = mixture_short_term(x, arch, params, cfg, b, t, rng)
     return fuse_output(x_short, x_long, params)
 
 

@@ -17,11 +17,11 @@ import numpy as np
 from scipy.special import erf
 
 # glibc mallopt parameter numbers
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_MMAP_MAX = -1, -3, -4
 
 
 def _keep_freed_arrays_in_heap():
-    """Fix glibc's mmap threshold at 32 MB and switch heap trimming off.
+    """Take every array from the heap and switch heap trimming off.
 
     Every op allocates its output and its backward temporaries afresh, a
     few MB each, and frees them a moment later. With glibc's adaptive
@@ -30,23 +30,27 @@ def _keep_freed_arrays_in_heap():
     on where long-lived objects happened to land at start-up: on 2 vCPU,
     one search epoch took 0.9M or 2.4M minor faults from run to run of the
     same input, and 16 s or 23 s. With the mmap threshold fixed, arrays
-    under 32 MB always come from the heap. ``backward`` frees a tape from
-    its last node to its first, so the free space at the top of the heap
-    grows by the whole tape (about 0.9 GB on the paper-default model at
-    B=32); any trim threshold below that hands it to the kernel, and the
-    next forward faults it back in. Measured on that model (2 vCPU, glibc
-    2.36), per two-epoch fit after the first: 9k-29k minor faults and
-    about 0.3 s more per fit with 64 MB kept, up to 14k faults with 256 MB,
-    and 0-750 with trimming off. A C library without ``mallopt`` is left
-    as it is.
+    under 32 MB always come from the heap, and an mmap limit of 0 takes
+    larger ones from it too: each paper-default hidden array is 32 MB from
+    B=64 on, glibc's largest threshold on 64-bit, and a B=64 fit took
+    117k-121k minor faults with those mmapped, 356-642 without.
+    ``backward`` frees a tape from its last node to its first, so the free
+    space at the top of the heap grows by the whole tape (about 0.9 GB on
+    the paper-default model at B=32); any trim threshold below that hands
+    it to the kernel, and the next forward faults it back in. Measured on
+    that model (2 vCPU, glibc 2.36), per two-epoch fit after the first:
+    9k-29k minor faults and about 0.3 s more per fit with 64 MB kept, up
+    to 14k faults with 256 MB, and 0-750 with trimming off. A C library
+    without ``mallopt`` is left as it is.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):
         return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     # a trim threshold of -1 means never trim
-    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20) and mallopt(_M_TRIM_THRESHOLD, -1))
+    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20) and mallopt(_M_TRIM_THRESHOLD, -1)
+                and mallopt(_M_MMAP_MAX, 0))
 
 
 HEAP_THRESHOLDS_SET = _keep_freed_arrays_in_heap()

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -42,6 +41,8 @@ class SearchConfig:
             raise ValueError(f"windows must be strictly increasing, got {self.windows}")
         if self.mode not in ("first_order", "one_step_unrolled"):
             raise ValueError(f"unknown search mode {self.mode!r}")
+        if not self.arch_lr >= 0:  # NaN fails too
+            raise ValueError(f"arch_lr must be >= 0, got {self.arch_lr}")
 
 
 @dataclass
@@ -61,30 +62,6 @@ class SearchResult:
     def from_json(cls, text):
         d = json.loads(text)
         return cls(**dict(d, windows=tuple(d["windows"])))
-
-
-@contextmanager
-def swapped_weights(params, virtual, frozen=False):
-    """Temporarily point every leaf at the virtual weight arrays.
-
-    With ``frozen`` the leaves are also constants for the duration: no op
-    that reads only weights records a node, so a backward pass replays just
-    the part of the graph that depends on the architecture logits, and the
-    weights' ``grad`` buffers are left as they were. The forward values are
-    the same either way.
-    """
-    leaves = params.leaves()
-    saved = [(leaf.data, leaf.requires_grad) for _, leaf in leaves]
-    for name, leaf in leaves:
-        leaf.data = virtual[name]
-        if frozen:
-            leaf.requires_grad = False
-    try:
-        yield
-    finally:
-        for (_, leaf), (data, requires_grad) in zip(leaves, saved):
-            leaf.data = data
-            leaf.requires_grad = requires_grad
 
 
 def _backprop_loss(batch, params, arch, model_cfg, rng):
@@ -131,11 +108,13 @@ class Searcher:
         self.last_val_loss = None
 
     def _loss_at(self, batch, weights, frozen):
-        """``_backprop_loss`` at ``weights``; with ``frozen`` only alpha gets
-        a gradient (the weight grads stay zero)."""
-        with swapped_weights(self.params, weights, frozen=frozen):
-            return _backprop_loss(batch, self.params, self.arch, self.model_cfg,
-                                  self.dropout_rng)
+        """``_backprop_loss`` on fresh leaves that hold ``weights``; returns the
+        loss and those leaves. With ``frozen`` the leaves are constants: no op
+        that reads only weights records a node, so backward replays just the
+        part of the graph that depends on alpha. The forward values are the
+        same either way, and the live weights are never touched."""
+        params = self.params.with_data(weights, requires_grad=not frozen)
+        return _backprop_loss(batch, params, self.arch, self.model_cfg, self.dropout_rng), params
 
     def alpha_gradient(self, val_batch, inner_batch):
         """d(validation loss)/d(alpha) at the one-step lookahead weights.
@@ -148,10 +127,10 @@ class Searcher:
         virtual = approx_inner(self.params, self.arch, inner_batch, lr,
                                self.model_cfg, self.dropout_rng)
         unrolled = self.cfg.mode == "one_step_unrolled"
-        self.last_val_loss = self._loss_at(val_batch, virtual, frozen=not unrolled)
+        self.last_val_loss, at_virtual = self._loss_at(val_batch, virtual, frozen=not unrolled)
         grad = self.arch.alpha.grad.copy()
         if unrolled:
-            moved = {name: leaf.grad.copy() for name, leaf in self.params.leaves()}
+            moved = {name: leaf.grad for name, leaf in at_virtual.leaves()}
             grad -= lr * self._alpha_hessian_vector(inner_batch, moved)
         return grad
 

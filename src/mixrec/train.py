@@ -30,8 +30,11 @@ class TrainConfig:
     eval_cutoff: int = 10
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        for name in ("learning_rate", "weight_decay"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.eps_adam > 0:
+            raise ValueError(f"eps_adam must be > 0, got {self.eps_adam}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
         for name in ("batch_size", "max_epochs", "patience", "negatives_per_positive",
@@ -121,10 +124,10 @@ def make_batches(dataset, examples, batch_size, n_neg, dist, rng, split):
     return batches
 
 
-def batch_loss(batch, params, cfg, arch=None, rng=None):
+def batch_loss(batch, params, cfg, *, rng, arch=None):
     """Mean training-mode cross-entropy over the batch: positive target vs
-    drawn negatives."""
-    hidden = forward_hidden(batch.inputs, params, cfg, arch=arch, train_mode=True, rng=rng)
+    drawn negatives. ``rng`` draws the dropout masks."""
+    hidden = forward_hidden(batch.inputs, params, cfg, arch=arch, rng=rng)
     raw_pos = score_items(hidden, batch.targets[:, None], params)
     raw_neg = score_items(hidden, batch.negatives, params)
     per_example = nk.add(nk.softplus(nk.scale(raw_pos, -1.0)),
@@ -132,7 +135,7 @@ def batch_loss(batch, params, cfg, arch=None, rng=None):
     return nk.mean_all(per_example)
 
 
-def train_step(batch, params, cfg, train_cfg, state, arch=None, rng=None):
+def train_step(batch, params, cfg, train_cfg, state, *, rng, arch=None):
     """One committed weight step on ``batch``: the loss, then Adam on every
     weight, with the padding row held at zero. Returns the loss value.
 

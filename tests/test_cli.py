@@ -170,11 +170,20 @@ class TestDispatchAndExitCodes:
         ("eval", "", ["--eval-cutoff", "0"]),
         ("bench", "", ["--bench-lens", "8"]),
         ("bench", "", ["--bench-lens", "8,8"]),
+        ("train", "", ["--dropout", "1.5"]),
+        ("train", "", ["--dropout", "-0.2"]),
+        ("train", "", ["--dropout", "nan"]),
+        ("train", "", ["--learning-rate", "nan"]),
+        ("train", "", ["--weight-decay", "nan"]),
+        ("train", "", ["--weight-decay", "-1"]),
+        ("train", "eps_adam = 0\n", []),
     ], ids=["int-in-file", "float-in-file", "window-past-max-len", "dim-0", "layers-0",
             "batch-size-0", "negatives-per-positive--1", "eval-negatives--1", "max-epochs-0",
             "negatives-per-positive-0-in-file", "eval-eval-negatives--1", "bench-reps-0",
             "bench-lens-1", "eval-cutoff-0", "eval-cutoff-0-in-file", "eval-eval-cutoff-0",
-            "bench-one-length", "bench-one-distinct-length"])
+            "bench-one-length", "bench-one-distinct-length", "dropout-1.5", "dropout--0.2",
+            "dropout-nan", "learning-rate-nan", "weight-decay-nan", "weight-decay--1",
+            "eps-adam-0-in-file"])
     def test_bad_config_value_is_usage_error(self, tmp_path, command, conf, flags):
         (tmp_path / "run.conf").write_text(conf)
         if command == "bench":
@@ -207,10 +216,19 @@ class TestDispatchAndExitCodes:
         (["train", "--norm-axis", "diagonal"], "", "'diagonal'"),
         (["search", "--search-mode", "bogus"], "", "'bogus'"),
         (["eval", "--split", "train"], "", "'train'"),
+        (["synth", "--noise", "1.5"], "", "noise_rate"),
+        (["synth", "--kstar", "0"], "", "k_star"),
+        (["synth", "--kstar", "40"], "", "k_star"),
+        (["synth", "--len", "2"], "", "k_star"),
+        (["synth", "--vocab", "2"], "", "vocab"),
+        (["search", "--arch-lr", "-1"], "", "arch_lr"),
+        (["search", "--arch-lr", "nan"], "", "arch_lr"),
     ], ids=["synth-max-len-1", "ingest-max-len-1", "ingest-min-interactions-0",
             "search-mode-in-file", "search-window-0", "empty-delimiter-flag",
             "empty-delimiter-in-file", "unknown-format-in-file", "format-flag",
-            "activation-flag", "norm-axis-flag", "search-mode-flag", "split-flag"])
+            "activation-flag", "norm-axis-flag", "search-mode-flag", "split-flag",
+            "synth-noise-1.5", "synth-kstar-0", "synth-kstar-40", "synth-len-2",
+            "synth-vocab-2", "search-arch-lr--1", "search-arch-lr-nan"])
     def test_bad_data_or_search_setting_is_usage_error(self, tmp_path, capsys, command,
                                                        conf, message):
         (tmp_path / "run.conf").write_text(conf)

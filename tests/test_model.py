@@ -273,7 +273,7 @@ class TestFinalRowPath:
         gelu = nk.gelu
         monkeypatch.setattr(nk, "gelu", lambda a: sizes.append(a.data.size) or gelu(a))
         stack = params.candidate_stacks[1]  # window 3
-        m.interest_forward(x, 3, stack, cfg, 2, cfg.max_len, train_mode=True, rng=rng)
+        m.interest_forward(x, 3, stack, cfg, 2, cfg.max_len, rng=rng)
         assert sizes == [2 * cfg.dim * cfg.seq_hidden, 2 * 3 * cfg.ch_hidden]
         sizes.clear()
         m.interest_forward(x, 3, stack, cfg, 2, cfg.max_len)
@@ -414,10 +414,8 @@ class TestFullForward:
         params = m.init_params(cfg, np.random.default_rng(2))
         arch = m.init_arch(cfg)
         inp = np.array([[0, 1, 2, 3, 4, 5]])
-        a = m.forward_hidden(inp, params, cfg, arch, train_mode=True,
-                             rng=np.random.default_rng(11)).data
-        b = m.forward_hidden(inp, params, cfg, arch, train_mode=True,
-                             rng=np.random.default_rng(11)).data
+        a = m.forward_hidden(inp, params, cfg, arch, rng=np.random.default_rng(11)).data
+        b = m.forward_hidden(inp, params, cfg, arch, rng=np.random.default_rng(11)).data
         np.testing.assert_array_equal(a, b)
 
     def test_every_leaf_and_alpha_receive_gradient(self):
@@ -464,6 +462,39 @@ class TestFullForward:
 
         leaves = [leaf for _, leaf in params.leaves()] + [arch.alpha]
         assert nk.grad_check(loss, leaves, h=1e-6) <= 1e-4
+
+
+class TestWithData:
+    def test_fresh_leaves_hold_the_given_arrays(self):
+        cfg = toy_cfg()
+        params = m.init_params(cfg, np.random.default_rng(4))
+        arrays = {name: leaf.data + 1.0 for name, leaf in params.leaves()}
+        for requires_grad in (True, False):
+            fresh = params.with_data(arrays, requires_grad)
+            for name, leaf in fresh.leaves():
+                assert leaf.data is arrays[name], name  # not a copy
+                assert leaf.requires_grad is requires_grad, name
+
+    def test_keeps_the_leaf_names_and_order(self):
+        cfg = toy_cfg(layers=2)
+        params = m.init_params(cfg, np.random.default_rng(4))
+        fresh = params.with_data(params.copy_data(), True)
+        assert [name for name, _ in fresh.leaves()] == [name for name, _ in params.leaves()]
+        assert len(fresh.long_stack) == cfg.layers
+        assert [len(stack) for stack in fresh.candidate_stacks] == [cfg.layers] * 2
+
+    def test_shares_no_leaf_with_its_source(self):
+        cfg = toy_cfg()
+        params = m.init_params(cfg, np.random.default_rng(4))
+        before = params.copy_data()
+        fresh = params.with_data(params.copy_data(), True)
+        source = {id(leaf) for _, leaf in params.leaves()}
+        assert not any(id(leaf) in source for _, leaf in fresh.leaves())
+        for _, leaf in fresh.leaves():
+            leaf.data += 1.0
+        for name, leaf in params.leaves():
+            assert leaf.requires_grad, name
+            np.testing.assert_array_equal(leaf.data, before[name])
 
 
 class TestCheckpoint:

@@ -477,8 +477,9 @@ class TestGradCheckHarness:
 
 
 class TestHeapThresholds:
-    # each round allocates ``count`` 12 MB arrays and frees them last first,
-    # as ``backward`` frees a tape; prints the minor faults of the later rounds
+    # each round allocates ``count`` arrays of ``mb`` MB and frees them last
+    # first, as ``backward`` frees a tape; prints the minor faults of the
+    # later rounds
     CHURN = textwrap.dedent("""
         import resource
         import sys
@@ -486,11 +487,11 @@ class TestHeapThresholds:
         from mixrec import numkit
 
         def churn(count):
-            arrays = [np.ones(3 << 19) for _ in range(count)]
+            arrays = [np.ones(mb << 17) for _ in range(count)]
             while arrays:
                 arrays.pop()
 
-        count, rounds = map(int, sys.argv[1:])
+        count, rounds, mb = map(int, sys.argv[1:])
         churn(count)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(rounds):
@@ -498,12 +499,12 @@ class TestHeapThresholds:
         print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     """)
 
-    def faults(self, count, rounds):
+    def faults(self, count, rounds, mb=12):
         src = str(Path(nk.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", self.CHURN, str(count), str(rounds)],
-                              env=env, capture_output=True, text=True, timeout=120)
+        argv = [sys.executable, "-c", self.CHURN, str(count), str(rounds), str(mb)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         return int(done.stdout)
 
@@ -524,3 +525,12 @@ class TestHeapThresholds:
         # on a 2-vCPU glibc 2.36 host, and at least 180 even if every page of
         # the 72 MB past the threshold were huge
         assert self.faults(8, 5) < 50
+
+    @pytest.mark.skipif(not nk.HEAP_THRESHOLDS_SET, reason="C library has no mallopt")
+    def test_arrays_past_the_mmap_threshold_are_reused_without_page_faults(self):
+        # six 32 MB arrays, the size of a paper-default hidden array from
+        # B=64 on and glibc's largest mmap threshold on 64-bit. With an mmap
+        # limit of 0 they come from the heap: 0 faults; mmapped, each round
+        # faults them in afresh: 15.8k faults in five rounds on a 2-vCPU
+        # glibc 2.36 host, and at least 480 even if every page were huge
+        assert self.faults(6, 5, mb=32) < 50

@@ -58,8 +58,10 @@ class TestApproxInner:
         batch = tr.make_batches(ds, ds.split_examples("train"), 16,
                                 1, searcher.dist, np.random.default_rng(0), "train")[0]
         before = searcher.params.copy_data()
-        v1 = se.approx_inner(searcher.params, searcher.arch, batch, 0.05, cfg, None)
-        v2 = se.approx_inner(searcher.params, searcher.arch, batch, 0.05, cfg, None)
+        v1 = se.approx_inner(searcher.params, searcher.arch, batch, 0.05, cfg,
+                             np.random.default_rng(1))
+        v2 = se.approx_inner(searcher.params, searcher.arch, batch, 0.05, cfg,
+                             np.random.default_rng(1))
         for name in v1:
             np.testing.assert_array_equal(v1[name], v2[name])
         for name, leaf in searcher.params.leaves():
@@ -73,7 +75,8 @@ class TestApproxInner:
         batch = tr.make_batches(ds, ds.split_examples("train"), 16,
                                 1, searcher.dist, np.random.default_rng(0), "train")[0]
         with np.errstate(invalid="ignore"), pytest.raises(nk.NumericalError, match="parameter"):
-            se.approx_inner(searcher.params, searcher.arch, batch, 0.05, cfg, None)
+            se.approx_inner(searcher.params, searcher.arch, batch, 0.05, cfg,
+                            np.random.default_rng(1))
 
 
 class TestSearchSteps:
@@ -193,14 +196,12 @@ def taped_alpha_gradient(searcher, val_batch, inner_batch):
     leaves = searcher.params.leaves()
 
     def taped_pass(batch, weights):
-        with se.swapped_weights(searcher.params, weights):
-            for _, leaf in leaves:
-                leaf.zero_grad()
-            searcher.arch.alpha.zero_grad()
-            loss = tr.batch_loss(batch, searcher.params, searcher.model_cfg,
-                                 arch=searcher.arch, rng=searcher.dropout_rng)
-            nk.backward(loss)
-        return searcher.arch.alpha.grad.copy(), {name: leaf.grad.copy() for name, leaf in leaves}
+        params = searcher.params.with_data(weights, True)
+        searcher.arch.alpha.zero_grad()
+        loss = tr.batch_loss(batch, params, searcher.model_cfg,
+                             arch=searcher.arch, rng=searcher.dropout_rng)
+        nk.backward(loss)
+        return searcher.arch.alpha.grad.copy(), {name: leaf.grad for name, leaf in params.leaves()}
 
     virtual = se.approx_inner(searcher.params, searcher.arch, inner_batch, lr,
                               searcher.model_cfg, searcher.dropout_rng)
@@ -245,13 +246,27 @@ class TestAlphaOnlyPasses:
         # every pass drew the same dropout masks, in the same order
         assert frozen.dropout_rng.random() == taped.dropout_rng.random()
 
-    def test_first_order_leaves_weight_gradients_zero(self):
+    def test_the_frozen_pass_leaves_carry_no_tape(self):
         ds = planted()
         searcher = mode_searcher(ds, "first_order")
+        passes = []
+        real = searcher._loss_at
+
+        def spy(batch, weights, frozen):
+            loss, params = real(batch, weights, frozen)
+            passes.append((frozen, params))
+            return loss, params
+
+        searcher._loss_at = spy
         grad = searcher.alpha_gradient(*search_batches(ds, searcher))
         assert np.abs(grad).max() > 0
-        for name, leaf in searcher.params.leaves():
-            assert not leaf.grad.any(), name
+        [(frozen, params)] = passes
+        assert frozen
+        live = {id(leaf) for _, leaf in searcher.params.leaves()}
+        for name, leaf in params.leaves():
+            assert id(leaf) not in live, name
+            assert not leaf.requires_grad, name
+            assert not leaf.grad.any(), name  # no gradient reached a weight
 
     @pytest.mark.parametrize("mode", ["first_order", "one_step_unrolled"])
     def test_leaves_are_taped_again_after_the_pass(self, mode):
@@ -260,23 +275,24 @@ class TestAlphaOnlyPasses:
         searcher.alpha_gradient(*search_batches(ds, searcher))
         assert all(leaf.requires_grad for _, leaf in searcher.params.leaves())
 
-    def test_leaves_are_taped_again_after_an_exception(self, monkeypatch):
+    def test_a_pass_that_raises_leaves_the_live_leaves_as_they_were(self, monkeypatch):
         ds = planted()
         searcher = mode_searcher(ds, "first_order")
-        before = searcher.params.copy_data()
+        before = [(leaf.data, leaf.data.copy()) for _, leaf in searcher.params.leaves()]
         real = se.batch_loss
 
-        def fails_when_frozen(*args, **kwargs):
-            if not searcher.params.out_w.requires_grad:
+        def fails_when_frozen(batch, params, cfg, **kwargs):
+            if not params.out_w.requires_grad:
                 raise RuntimeError("inside the frozen pass")
-            return real(*args, **kwargs)
+            return real(batch, params, cfg, **kwargs)
 
         monkeypatch.setattr(se, "batch_loss", fails_when_frozen)
         with pytest.raises(RuntimeError, match="frozen pass"):
             searcher.alpha_gradient(*search_batches(ds, searcher))
-        for name, leaf in searcher.params.leaves():
+        for (name, leaf), (data, values) in zip(searcher.params.leaves(), before):
             assert leaf.requires_grad, name
-            np.testing.assert_array_equal(leaf.data, before[name])
+            assert leaf.data is data, name
+            np.testing.assert_array_equal(leaf.data, values)
 
 
 class TestRunSearch:
