@@ -209,6 +209,12 @@ class SequenceDataset:
             try:
                 header = json.loads(fh.readline())
                 max_len, num_items = header["max_len"], header["num_items"]
+                # an empty log saves num_items 0; build_sequences needs max_len >= 2
+                bounds = [("num_items", num_items, 0), ("max_len", max_len, 2)]
+                bounds += [("item_counts", count, 0) for count in header["item_counts"]]
+                for name, value, low in bounds:
+                    if type(value) is not int or value < low:  # a JSON bool is no count
+                        raise DataError(f"{path}: {name} {value!r} is not an integer >= {low}")
                 item_counts = np.asarray(header["item_counts"], dtype=np.int64)
                 if len(item_counts) != num_items + 1:
                     raise DataError(f"{path}: item_counts has {len(item_counts)} entries "
@@ -222,7 +228,7 @@ class SequenceDataset:
                                         f"outside 1..{num_items}")
                     sequences[rec["user"]] = items
                 return _dataset_from_sequences(sequences, max_len, num_items, item_counts)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: malformed dataset file: {exc!r}") from None
 
 

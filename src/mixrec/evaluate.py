@@ -83,19 +83,21 @@ def evaluate_split(params, cfg, dataset, split, num_negatives=100, cutoff=10,
         raise DataError(f"split {split!r} has no examples")
     dist = PopularityDist(dataset.item_counts)
 
+    # constant leaves over the live arrays: no op records a node
+    frozen = params.with_data({name: leaf.data for name, leaf in params.leaves()},
+                              requires_grad=False)
     ranks = []
-    with nk.no_grad():
-        for start in range(0, len(examples), batch_size):
-            chunk = examples[start:start + batch_size]
-            cands = np.empty((len(chunk), 1 + num_negatives), dtype=np.intp)
-            cands[:, 0] = chunk.targets
-            users = chunk.users.tolist()
-            cands[:, 1:] = sample_negatives(
-                dist, [dataset.user_sequences[u] for u in users], num_negatives,
-                [example_rng(seed, u, split) for u in users])
-            hidden = forward_hidden(chunk.inputs(), params, cfg)
-            raw = score_items(hidden, cands, params)
-            if not np.isfinite(raw.data).all():
-                raise nk.NumericalError(f"non-finite ranking score on split {split!r}")
-            ranks.extend(rank_of_target(raw.data, 0).tolist())
+    for start in range(0, len(examples), batch_size):
+        chunk = examples[start:start + batch_size]
+        cands = np.empty((len(chunk), 1 + num_negatives), dtype=np.intp)
+        cands[:, 0] = chunk.targets
+        users = chunk.users.tolist()
+        cands[:, 1:] = sample_negatives(
+            dist, [dataset.user_sequences[u] for u in users], num_negatives,
+            [example_rng(seed, u, split) for u in users])
+        hidden = forward_hidden(chunk.inputs(), frozen, cfg)
+        raw = score_items(hidden, cands, frozen)
+        if not np.isfinite(raw.data).all():
+            raise nk.NumericalError(f"non-finite ranking score on split {split!r}")
+        ranks.extend(rank_of_target(raw.data, 0).tolist())
     return metrics_at_n(ranks, cutoff)

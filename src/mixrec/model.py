@@ -218,7 +218,8 @@ def sequence_mixer_block(x, layer, cfg, blocks, rng=None, final_row=False):
     the hidden activation is the same, but the output projection runs
     through the single row ``seq_w2[T-1]``.
     """
-    rows = _final_rows(x, blocks) if final_row else x
+    block_len = x.rows // blocks
+    rows = _last_rows(x, blocks, block_len, 1) if final_row else x
     if cfg.disable_sequence_mixer:
         return rows
     if cfg.norm_axis == "channel":
@@ -227,7 +228,7 @@ def sequence_mixer_block(x, layer, cfg, blocks, rng=None, final_row=False):
     else:
         # literal per-channel normalization along the sequence axis (affine-free)
         per_channel = nk.layer_norm(nk.batch_transpose(x, blocks), eps=LN_EPS)
-    w_out = nk.take_rows(layer.seq_w2, [x.rows // blocks - 1]) if final_row else layer.seq_w2
+    w_out = nk.take_rows(layer.seq_w2, [block_len - 1]) if final_row else layer.seq_w2
     mixed = _mixer_mlp(per_channel, layer.seq_w1, w_out, cfg, rng)
     return nk.add(rows, nk.batch_transpose(mixed, blocks))
 
@@ -249,14 +250,11 @@ def stack_forward(x, stack, cfg, blocks, rng=None):
 
 
 def _last_rows(x, blocks, block_len, window):
+    """The last ``window`` rows of each block of a row-stacked
+    (blocks*block_len) x D tensor."""
     idx = (np.arange(blocks)[:, None] * block_len
            + np.arange(block_len - window, block_len)[None, :]).reshape(-1)
     return nk.take_rows(x, idx)
-
-
-def _final_rows(x, blocks):
-    """The last row of each block of a row-stacked (blocks*T) x D tensor."""
-    return nk.take_rows(x, np.arange(1, blocks + 1) * (x.rows // blocks) - 1)
 
 
 def interest_forward(x, window, stack, cfg, blocks, block_len, rng=None):
@@ -274,7 +272,7 @@ def interest_forward(x, window, stack, cfg, blocks, block_len, rng=None):
         raise ValueError(f"window {window} exceeds input length {block_len}")
     sliced = x if window == block_len else _last_rows(x, blocks, block_len, window)
     if rng is not None:
-        return _final_rows(stack_forward(sliced, stack, cfg, blocks, rng), blocks)
+        return _last_rows(stack_forward(sliced, stack, cfg, blocks, rng), blocks, window, 1)
     *body, last = stack
     mixed = stack_forward(sliced, body, cfg, blocks)
     return channel_mixer_block(sequence_mixer_block(mixed, last, cfg, blocks, final_row=True),

@@ -2,16 +2,17 @@
 
 Everything is float64 and strictly two-dimensional. Vectors are 1 x n
 tensors; mini-batches are row-stacked blocks (see ``batch_transpose``).
-Each operation records a backward closure on the output node; calling
-``backward`` on a scalar result replays the recorded graph in reverse
-topological order and accumulates gradients into the leaves.
+An operation records a backward closure on its output node exactly when one
+of its operands requires grad; on constant operands it computes the value
+alone. There is no global recording mode: a pass that needs no tape runs on
+constant leaves. Calling ``backward`` on a scalar result replays the recorded
+graph in reverse topological order and accumulates gradients into the leaves.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf
@@ -87,25 +88,12 @@ def _replayed(g):
     raise GraphReleasedError("this graph was already replayed by backward; run the forward again")
 
 
-_grad_enabled = [True]
-
-
-@contextmanager
-def no_grad():
-    """Disable graph recording inside the block (evaluation-only passes)."""
-    _grad_enabled.append(False)
-    try:
-        yield
-    finally:
-        _grad_enabled.pop()
-
-
 class Tensor2:
     """A rows x cols float64 matrix, optionally a node in an autodiff graph.
 
     Leaves created with ``requires_grad=True`` start with an all-zero
     ``grad`` buffer, so parameters untouched by a forward pass report an
-    exact zero gradient after ``backward``.
+    exact zero gradient after ``backward``. A constant holds no buffer.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -140,16 +128,16 @@ class Tensor2:
         return float(self.data[0, 0])
 
     def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros_like(self.data) if self.requires_grad else None
 
     def __repr__(self):
         return f"Tensor2({self.rows}x{self.cols}, requires_grad={self.requires_grad})"
 
 
 def _node(data, parents, backward_fn):
-    """Create a graph node; skips recording when grads are off or unneeded."""
+    """Create a graph node; records it only when an operand requires grad."""
     out = Tensor2(data)
-    if _grad_enabled[-1] and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -519,6 +507,7 @@ def grad_check(f, params, h=1e-5, denom_floor=1e-8):
 
     ``f`` rebuilds a scalar loss from the current ``params`` leaf data on
     every call; the finite-difference probe perturbs one entry at a time.
+    Each probe's tape is dropped unreplayed once its value is read.
     """
     if h <= 0:
         raise ValueError(f"grad_check: step must be positive, got {h}")
@@ -535,11 +524,10 @@ def grad_check(f, params, h=1e-5, denom_floor=1e-8):
         flat = p.data.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            with no_grad():
-                flat[i] = orig + h
-                fp = f().item()
-                flat[i] = orig - h
-                fm = f().item()
+            flat[i] = orig + h
+            fp = f().item()
+            flat[i] = orig - h
+            fm = f().item()
             flat[i] = orig
             if not (math.isfinite(fp) and math.isfinite(fm)):
                 raise NumericalError("grad_check: objective is not finite at a probe point")

@@ -65,10 +65,9 @@ class SearchResult:
 
 
 def _backprop_loss(batch, params, arch, model_cfg, rng):
-    """Zero every gradient, alpha's too, then run and replay ``batch``'s
-    training loss; returns the loss value."""
-    for _, leaf in params.leaves():
-        leaf.zero_grad()
+    """Zero alpha's gradient, then run and replay ``batch``'s training loss;
+    returns the loss value. The weights' gradients are the caller's: fresh
+    leaves start at zero (or hold none, if constant)."""
     arch.alpha.zero_grad()
     loss = batch_loss(batch, params, model_cfg, arch=arch, rng=rng)
     nk.backward(loss)
@@ -77,6 +76,8 @@ def _backprop_loss(batch, params, arch, model_cfg, rng):
 
 def approx_inner(params, arch, batch, lr, model_cfg, rng):
     """Virtual one-step weights W' = W - lr * grad(training loss), uncommitted."""
+    for _, leaf in params.leaves():
+        leaf.zero_grad()
     _backprop_loss(batch, params, arch, model_cfg, rng)
     virtual = {}
     for name, leaf in params.leaves():

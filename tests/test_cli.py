@@ -433,18 +433,27 @@ class TestArtifacts:
         checkpoint.write_bytes(raw[:-8] + np.array([np.nan], dtype="<f8").tobytes())
         assert self.evaluate(tmp_path, dataset, checkpoint, "eval")[0] == 4
 
-    @pytest.mark.parametrize("corrupt, message", [("item", "outside 1..20"),
-                                                  ("item_counts", "item_counts has 2 entries")])
+    @pytest.mark.parametrize("corrupt, message", [
+        ("item", "outside 1..20"), ("item_counts", "item_counts has 2 entries"),
+        ("num_items=20.0", "num_items 20.0 is not"), ("max_len=-5", "max_len -5 is not"),
+        ("max_len=1", "max_len 1 is not"), ("item_counts=-100", "item_counts -100 is not"),
+        ("item_counts=19.5", "item_counts 19.5 is not"),
+    ])
     def test_a_dataset_that_contradicts_its_header_is_a_data_error(self, tmp_path, capsys,
                                                                     corrupt, message):
         dataset = synth(tmp_path)
         head, *lines = dataset.read_text().splitlines()
         header, users = json.loads(head), [json.loads(line) for line in lines]
         assert header["num_items"] == 20
+        key, _, value = corrupt.partition("=")
         if corrupt == "item":
             users[0]["items"][-1] = 999
-        else:
+        elif corrupt == "item_counts":
             header["item_counts"] = header["item_counts"][:2]
+        elif key == "item_counts":  # one item's count
+            header[key][3] = json.loads(value)
+        else:
+            header[key] = json.loads(value)
         dataset.write_text("\n".join(json.dumps(rec, sort_keys=True)
                                      for rec in [header] + users) + "\n")
         code = cli.main(["train", "--dataset", str(dataset), "--k", "2",

@@ -198,6 +198,24 @@ class TestBuildSequences:
         with pytest.raises(d.DataError, match=f"item_counts has {size} entries"):
             d.SequenceDataset.load(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("num_items", 9.0, "num_items 9.0 is not an integer >= 0"),
+        ("max_len", -5, "max_len -5 is not an integer >= 2"),
+        ("max_len", 1, "max_len 1 is not"), ("max_len", True, "max_len True is not"),
+        ("item_counts", -100, "item_counts -100 is not an integer >= 0"),
+        ("item_counts", 19.5, "item_counts 19.5 is not"),
+        ("item_counts", True, "item_counts True is not"), ("item_counts", 2 ** 70, "OverflowError"),
+    ], ids=str)
+    def test_load_rejects_a_malformed_header_value(self, tmp_path, key, value, message):
+        path, header, users = self.saved_lines(tmp_path)
+        if key == "item_counts":
+            header[key][3] = value
+        else:
+            header[key] = value
+        self.write_lines(path, header, users)
+        with pytest.raises(d.DataError, match=message):
+            d.SequenceDataset.load(path)
+
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 9), st.integers(0, 4)),
                     max_size=80),
            st.integers(2, 7))

@@ -159,6 +159,35 @@ class TestEvaluateSplit:
             b"".join(leaf.data.tobytes() for _, leaf in params.leaves())).hexdigest()
         assert digest_before == digest_after
 
+    def test_records_no_tape_and_leaves_the_live_leaves_untouched(self, monkeypatch):
+        ds = planted_dataset()
+        cfg, params = tiny_model(ds)
+        rng = np.random.default_rng(5)
+        for _, leaf in params.leaves():
+            leaf.grad = rng.normal(size=leaf.data.shape)
+        before = [(leaf.data, leaf.data.copy(), leaf.grad, leaf.grad.copy())
+                  for _, leaf in params.leaves()]
+        scored = []
+        score_items = ev.score_items
+
+        def spy(hidden, cands, frozen):
+            raw = score_items(hidden, cands, frozen)
+            scored.append((hidden, raw, frozen))
+            return raw
+
+        monkeypatch.setattr(ev, "score_items", spy)
+        ev.evaluate_split(params, cfg, ds, "val", num_negatives=10, seed=0, batch_size=7)
+        assert len(scored) > 1
+        for hidden, raw, frozen in scored:
+            for out in (hidden, raw):
+                assert out._backward is None and not out.requires_grad
+            for (_, live), (_, leaf) in zip(params.leaves(), frozen.leaves()):
+                assert leaf is not live and leaf.data is live.data  # a view, not a copy
+                assert not leaf.requires_grad and leaf.grad is None
+        for (_, leaf), (data, values, grad, grads) in zip(params.leaves(), before):
+            assert leaf.requires_grad and leaf.data is data and leaf.grad is grad
+            assert np.array_equal(data, values) and np.array_equal(grad, grads)
+
     def test_ranks_invariant_under_monotone_score_transforms(self):
         # the softmax applied for inference never reorders candidates, nor
         # does any strictly increasing transform

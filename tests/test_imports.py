@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by the module itself."""
+"""Every module-level import and private module-level name in the package is
+used by the module itself."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,36 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(source):
+    """Private module-level functions, classes and assigned names that nothing
+    in the module reads; dunder names are not private."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                bound.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_finds_an_unread_private_name():
+    source = "_A = 1\n_B, c = 2, 3\n__all__ = []\ndef _f():\n    return _A\n" \
+             "class _K:\n    pass\ndef g():\n    _B = 4\n    return _f\n_unused: int = 5\n"
+    assert unread_private_names(source) == [(2, "_B"), (6, "_K"), (11, "_unused")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_private_module_level_name_is_read(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []

@@ -316,11 +316,13 @@ class TestAutodiffCore:
         nk.backward(y)
         assert a.grad[0, 0] == 8.0
 
-    def test_no_grad_blocks_recording(self):
-        a = t([[1.0]], grad=True)
-        with nk.no_grad():
-            out = nk.mul(a, a)
-        assert out._backward is None and not out.requires_grad
+    def test_an_op_on_constant_operands_records_no_node(self):
+        a, b = t([[1.0, 2.0]]), t([[3.0, 4.0]])
+        for out in (nk.mul(a, b), nk.gelu(nk.matmul(nk.transpose(a), b))):
+            assert out._backward is None and out._parents == ()
+            assert not out.requires_grad and out.grad is None
+        taped = nk.mul(a, t([[5.0, 6.0]], grad=True))
+        assert taped.requires_grad and taped._backward is not None
 
     def test_broadcast_add_bias(self):
         x = t(np.ones((3, 2)), grad=True)
@@ -338,6 +340,14 @@ class TestAutodiffCore:
 
 class TestGradientBuffers:
     """The first contribution becomes the gradient buffer; none may alias."""
+
+    def test_zero_grad_gives_only_a_taped_tensor_a_buffer(self):
+        c, x = t([[1.0, 2.0]]), t([[1.0, 2.0]], grad=True)
+        x.grad += 3.0
+        c.zero_grad()
+        x.zero_grad()
+        assert c.grad is None
+        assert np.array_equal(x.grad, [[0.0, 0.0]])
 
     def test_mul_by_constant_skips_the_constant(self):
         rng = np.random.default_rng(0)
