@@ -57,8 +57,7 @@ DEFAULTS = {
 }
 
 MODEL_FLAGS = tuple(f.name for f in fields(ModelConfig) if f.name not in ("num_items", "windows"))
-TRAIN_FLAGS = ("learning_rate", "batch_size", "max_epochs", "patience",
-               "negatives_per_positive", "weight_decay", "eval_negatives", "eval_cutoff", "seed")
+TRAIN_FLAGS = tuple(f.name for f in fields(TrainConfig))
 
 
 class UsageError(ValueError):
@@ -106,6 +105,8 @@ def resolve_config(args):
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = _coerce(key, flag)
+    if merged["seed"] < 0:  # numpy's generators take no negative seed
+        raise UsageError(f"config key seed: expected an integer >= 0, got {merged['seed']}")
     return merged
 
 

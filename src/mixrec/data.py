@@ -222,11 +222,14 @@ class SequenceDataset:
                 sequences = {}
                 for line in fh:
                     rec = json.loads(line)
-                    items = list(rec["items"])
-                    if not all(1 <= i <= num_items for i in items):
-                        raise DataError(f"{path}: user {rec['user']} has an item "
-                                        f"outside 1..{num_items}")
-                    sequences[rec["user"]] = items
+                    user, items = rec["user"], list(rec["items"])
+                    if type(user) is not int or user < 0 or user in sequences:
+                        raise DataError(f"{path}: user {user!r} is not an integer >= 0 "
+                                        f"or appears twice")
+                    if not all(type(i) is int and 1 <= i <= num_items for i in items):
+                        raise DataError(f"{path}: user {user} has a non-integer item "
+                                        f"or one outside 1..{num_items}")
+                    sequences[user] = items
                 return _dataset_from_sequences(sequences, max_len, num_items, item_counts)
             except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: malformed dataset file: {exc!r}") from None

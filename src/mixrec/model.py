@@ -8,7 +8,8 @@ connection and layer normalization.
 The long-term module runs a mixer stack over the full padded window; each
 short-term candidate runs its own stack over the last k positions. During
 the window search the candidate outputs are blended with softmax weights
-over the learnable architecture logits.
+over the architecture logits ``alpha``, a plain 1 x M leaf (``init_arch``):
+logit m weighs the candidate of window ``ModelConfig.windows[m]``.
 
 Mini-batches are row-stacked: a batch of B tables of shape T x D travels as
 one (B*T) x D tensor, and the per-example transpose needed by the
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -83,12 +84,7 @@ class MixerLayerParams:
     ch_beta: nk.Tensor2
 
     def named(self, prefix):
-        return [
-            (f"{prefix}.seq_w1", self.seq_w1), (f"{prefix}.seq_w2", self.seq_w2),
-            (f"{prefix}.seq_gamma", self.seq_gamma), (f"{prefix}.seq_beta", self.seq_beta),
-            (f"{prefix}.ch_w3", self.ch_w3), (f"{prefix}.ch_w4", self.ch_w4),
-            (f"{prefix}.ch_gamma", self.ch_gamma), (f"{prefix}.ch_beta", self.ch_beta),
-        ]
+        return [(f"{prefix}.{f.name}", getattr(self, f.name)) for f in fields(self)]
 
 
 @dataclass
@@ -123,25 +119,6 @@ class ModelParams:
     def load_data(self, snapshot):
         for name, leaf in self.leaves():
             np.copyto(leaf.data, snapshot[name])
-
-
-@dataclass
-class ArchWeights:
-    """Learnable logits over the candidate windows; softmax gives the blend."""
-
-    alpha: nk.Tensor2  # 1 x M
-    windows: tuple
-
-    def __post_init__(self):
-        if self.alpha.cols != len(self.windows):
-            raise ValueError(
-                f"{self.alpha.cols} logits for {len(self.windows)} candidate windows")
-
-    def probabilities(self):
-        return nk.softmax(self.alpha)
-
-    def selected_window(self):
-        return int(self.windows[int(np.argmax(self.alpha.data[0]))])
 
 
 def _uniform_init(rng, rows, cols, fan_in):
@@ -180,15 +157,9 @@ def init_params(cfg, rng):
 
 
 def init_arch(cfg):
-    """Zero logits: a uniform prior over the candidate windows."""
-    return ArchWeights(
-        alpha=nk.Tensor2(np.zeros((1, len(cfg.windows))), requires_grad=True),
-        windows=cfg.windows,
-    )
-
-
-def _activation(cfg, x):
-    return nk.gelu(x) if cfg.activation == "gelu" else nk.relu(x)
+    """The 1 x M architecture logits, one per candidate window, at zero: a
+    uniform prior over the windows."""
+    return nk.Tensor2(np.zeros((1, len(cfg.windows))), requires_grad=True)
 
 
 def embed(inputs, params, cfg):
@@ -205,7 +176,8 @@ def embed(inputs, params, cfg):
 
 def _mixer_mlp(rows, w_in, w_out, cfg, rng):
     """rows @ w_in^T -> activation -> (dropout, given a generator) -> @ w_out^T."""
-    h = _activation(cfg, nk.matmul(rows, nk.transpose(w_in)))
+    h = nk.matmul(rows, nk.transpose(w_in))
+    h = nk.gelu(h) if cfg.activation == "gelu" else nk.relu(h)
     if rng is not None and cfg.dropout > 0.0:
         h = nk.mul(h, nk.dropout_mask(h.shape, cfg.dropout, rng))
     return nk.matmul(h, nk.transpose(w_out))
@@ -279,14 +251,15 @@ def interest_forward(x, window, stack, cfg, blocks, block_len, rng=None):
                                last, cfg)
 
 
-def mixture_short_term(x, arch, params, cfg, blocks, block_len, rng=None):
-    """Softmax-weighted blend of the candidate short-term interest outputs."""
-    if len(arch.windows) != len(params.candidate_stacks):
+def mixture_short_term(x, alpha, params, cfg, blocks, block_len, rng=None):
+    """Blend of the candidate short-term interest outputs, weighted by
+    softmax(``alpha``) over the 1 x M logits; window m is ``cfg.windows[m]``."""
+    if alpha.cols != len(params.candidate_stacks):
         raise ValueError(
-            f"{len(arch.windows)} candidate windows vs {len(params.candidate_stacks)} stacks")
-    p = arch.probabilities()
+            f"{alpha.cols} logits for {len(params.candidate_stacks)} candidate stacks")
+    p = nk.softmax(alpha)
     blended = None
-    for m, (k, stack) in enumerate(zip(arch.windows, params.candidate_stacks)):
+    for m, (k, stack) in enumerate(zip(cfg.windows, params.candidate_stacks)):
         out = interest_forward(x, k, stack, cfg, blocks, block_len, rng)
         weighted = nk.mul(out, nk.slice_cols(p, m, m + 1))
         blended = weighted if blended is None else nk.add(blended, weighted)
@@ -302,12 +275,13 @@ def fuse_output(x_short, x_long, params):
     return nk.add(nk.matmul(joint, nk.transpose(params.out_w)), params.out_b)
 
 
-def forward_hidden(inputs, params, cfg, arch=None, rng=None):
+def forward_hidden(inputs, params, cfg, alpha=None, rng=None):
     """Hidden state per example: B x T padded indices -> B x D tensor.
 
-    ``arch=None`` requires a single candidate stack (the retrained model);
-    otherwise candidates are blended with the architecture weights. A
-    dropout generator ``rng`` selects training (see ``interest_forward``).
+    ``alpha=None`` requires a single candidate stack (the retrained model);
+    otherwise the candidates are blended by the architecture logits
+    ``alpha``. A dropout generator ``rng`` selects training (see
+    ``interest_forward``).
     """
     inputs = np.asarray(inputs, dtype=np.intp)
     if inputs.ndim == 1:
@@ -317,12 +291,12 @@ def forward_hidden(inputs, params, cfg, arch=None, rng=None):
         raise nk.ShapeError(f"input length {t} does not match max_len {cfg.max_len}")
     x = embed(inputs, params, cfg)
     x_long = interest_forward(x, t, params.long_stack, cfg, b, t, rng)
-    if arch is None:
+    if alpha is None:
         if len(params.candidate_stacks) != 1:
             raise ValueError("fixed-window forward requires exactly one candidate stack")
         x_short = interest_forward(x, cfg.windows[0], params.candidate_stacks[0], cfg, b, t, rng)
     else:
-        x_short = mixture_short_term(x, arch, params, cfg, b, t, rng)
+        x_short = mixture_short_term(x, alpha, params, cfg, b, t, rng)
     return fuse_output(x_short, x_long, params)
 
 
@@ -394,8 +368,3 @@ def load_checkpoint(path):
                 raise DataFormatError(f"array {name}: truncated payload")
             leaf.data[...] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
     return params, cfg
-
-
-def fixed_window_config(cfg, window):
-    """Config for a retrained model with a single short-term window."""
-    return replace(cfg, windows=(int(window),))

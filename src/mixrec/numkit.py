@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import erf
 
 # glibc mallopt parameter numbers
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_MMAP_MAX = -1, -3, -4
+_M_TRIM_THRESHOLD, _M_MMAP_MAX = -1, -4
 
 
 def _keep_freed_arrays_in_heap():
@@ -30,11 +30,11 @@ def _keep_freed_arrays_in_heap():
     goes back to the kernel, to be faulted in again page by page, depends
     on where long-lived objects happened to land at start-up: on 2 vCPU,
     one search epoch took 0.9M or 2.4M minor faults from run to run of the
-    same input, and 16 s or 23 s. With the mmap threshold fixed, arrays
-    under 32 MB always come from the heap, and an mmap limit of 0 takes
-    larger ones from it too: each paper-default hidden array is 32 MB from
-    B=64 on, glibc's largest threshold on 64-bit, and a B=64 fit took
-    117k-121k minor faults with those mmapped, 356-642 without.
+    same input, and 16 s or 23 s. An mmap limit of 0 takes every array
+    from the heap, whatever its size, so glibc never consults its mmap
+    threshold: each paper-default hidden array is 32 MB from B=64 on,
+    glibc's largest threshold on 64-bit, and a B=64 fit took 117k-121k
+    minor faults with those mmapped, 356-642 without.
     ``backward`` frees a tape from its last node to its first, so the free
     space at the top of the heap grows by the whole tape (about 0.9 GB on
     the paper-default model at B=32); any trim threshold below that hands
@@ -50,8 +50,7 @@ def _keep_freed_arrays_in_heap():
         return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     # a trim threshold of -1 means never trim
-    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20) and mallopt(_M_TRIM_THRESHOLD, -1)
-                and mallopt(_M_MMAP_MAX, 0))
+    return bool(mallopt(_M_TRIM_THRESHOLD, -1) and mallopt(_M_MMAP_MAX, 0))
 
 
 HEAP_THRESHOLDS_SET = _keep_freed_arrays_in_heap()
@@ -188,8 +187,6 @@ def backward(root):
         for parent in node._parents:
             if id(parent) not in visited and parent._backward is not None:
                 stack.append((parent, False))
-            elif id(parent) not in visited and parent.requires_grad:
-                visited.add(id(parent))  # leaf: nothing to expand
     if root.grad is None:
         root.grad = np.zeros_like(root.data)
     root.grad += np.ones_like(root.data)

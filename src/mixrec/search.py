@@ -4,9 +4,11 @@ The search trains two coupled problems: ordinary model weights descend the
 training loss, while the architecture logits descend the validation loss
 evaluated at a one-step lookahead of the weights (a single virtual gradient
 step). Keeping the two gradient sources on disjoint splits is what guards
-the logits against overfitting the training set. The exhaustive oracle
-instead trains one fixed-window model per candidate and compares validation
-MRR directly.
+the logits against overfitting the training set. The logits are one 1 x M
+leaf, ``Searcher.alpha``; the candidate windows are those of the searcher's
+``ModelConfig``, which takes them from ``SearchConfig.windows``. The
+exhaustive oracle instead trains one fixed-window model per candidate and
+compares validation MRR directly.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import numkit as nk
 from .data import DataError, PopularityDist
-from .model import fixed_window_config, init_arch, init_params
+from .model import init_arch, init_params
 from .train import (AdamState, TrainConfig, adam_update, batch_loss, fit, make_batches,
                     train_step)
 
@@ -64,21 +66,21 @@ class SearchResult:
         return cls(**dict(d, windows=tuple(d["windows"])))
 
 
-def _backprop_loss(batch, params, arch, model_cfg, rng):
+def _backprop_loss(batch, params, alpha, model_cfg, rng):
     """Zero alpha's gradient, then run and replay ``batch``'s training loss;
     returns the loss value. The weights' gradients are the caller's: fresh
     leaves start at zero (or hold none, if constant)."""
-    arch.alpha.zero_grad()
-    loss = batch_loss(batch, params, model_cfg, arch=arch, rng=rng)
+    alpha.zero_grad()
+    loss = batch_loss(batch, params, model_cfg, alpha=alpha, rng=rng)
     nk.backward(loss)
     return loss.item()
 
 
-def approx_inner(params, arch, batch, lr, model_cfg, rng):
+def approx_inner(params, alpha, batch, lr, model_cfg, rng):
     """Virtual one-step weights W' = W - lr * grad(training loss), uncommitted."""
     for _, leaf in params.leaves():
         leaf.zero_grad()
-    _backprop_loss(batch, params, arch, model_cfg, rng)
+    _backprop_loss(batch, params, alpha, model_cfg, rng)
     virtual = {}
     for name, leaf in params.leaves():
         if not np.isfinite(leaf.grad).all():
@@ -99,7 +101,7 @@ class Searcher:
         ss = np.random.SeedSequence(cfg.train.seed)
         init_seed, batch_seed, drop_seed = ss.spawn(3)
         self.params = init_params(model_cfg, np.random.default_rng(init_seed))
-        self.arch = init_arch(model_cfg)
+        self.alpha = init_arch(model_cfg)
         self.batch_rng = np.random.default_rng(batch_seed)
         self.dropout_rng = np.random.default_rng(drop_seed)
         self.w_state = AdamState()
@@ -115,7 +117,7 @@ class Searcher:
         part of the graph that depends on alpha. The forward values are the
         same either way, and the live weights are never touched."""
         params = self.params.with_data(weights, requires_grad=not frozen)
-        return _backprop_loss(batch, params, self.arch, self.model_cfg, self.dropout_rng), params
+        return _backprop_loss(batch, params, self.alpha, self.model_cfg, self.dropout_rng), params
 
     def alpha_gradient(self, val_batch, inner_batch):
         """d(validation loss)/d(alpha) at the one-step lookahead weights.
@@ -125,11 +127,11 @@ class Searcher:
         of the weights, so its validation pass keeps the whole tape.
         """
         lr = self.cfg.train.learning_rate
-        virtual = approx_inner(self.params, self.arch, inner_batch, lr,
+        virtual = approx_inner(self.params, self.alpha, inner_batch, lr,
                                self.model_cfg, self.dropout_rng)
         unrolled = self.cfg.mode == "one_step_unrolled"
         self.last_val_loss, at_virtual = self._loss_at(val_batch, virtual, frozen=not unrolled)
-        grad = self.arch.alpha.grad.copy()
+        grad = self.alpha.grad.copy()
         if unrolled:
             moved = {name: leaf.grad for name, leaf in at_virtual.leaves()}
             grad -= lr * self._alpha_hessian_vector(inner_batch, moved)
@@ -144,7 +146,7 @@ class Searcher:
         """
         norm = np.sqrt(sum(float((g * g).sum()) for g in direction.values()))
         if norm == 0.0:
-            return np.zeros_like(self.arch.alpha.data)
+            return np.zeros_like(self.alpha.data)
         eps = 0.01 / norm
         leaves = self.params.leaves()
 
@@ -152,20 +154,20 @@ class Searcher:
             shifted = {name: leaf.data + sign * eps * direction[name]
                        for name, leaf in leaves}
             self._loss_at(inner_batch, shifted, frozen=True)
-            return self.arch.alpha.grad.copy()
+            return self.alpha.grad.copy()
 
         return (alpha_grad_at(+1.0) - alpha_grad_at(-1.0)) / (2.0 * eps)
 
     def arch_step(self, val_batch, inner_batch):
         """Update the window logits from a validation mini-batch only."""
         grad = self.alpha_gradient(val_batch, inner_batch)
-        adam_update([(ALPHA_KEY, self.arch.alpha)], {ALPHA_KEY: grad},
+        adam_update([(ALPHA_KEY, self.alpha)], {ALPHA_KEY: grad},
                     self.a_state, self.arch_cfg)
 
     def weight_step(self, train_batch):
         """Update the model weights from a training mini-batch only."""
         train_step(train_batch, self.params, self.model_cfg, self.cfg.train, self.w_state,
-                   arch=self.arch, rng=self.dropout_rng)
+                   alpha=self.alpha, rng=self.dropout_rng)
 
     def run_epoch(self):
         """One pass: each iteration consumes one validation batch and two
@@ -190,6 +192,10 @@ class Searcher:
             self.weight_step(step_batch)
         return float(np.mean(val_losses))
 
+    def selected_window(self):
+        """The window of the largest logit; a tie goes to the smaller window."""
+        return self.model_cfg.windows[int(np.argmax(self.alpha.data[0]))]
+
 
 def run_search(dataset, model_cfg, cfg):
     """Run the window search to argmax-stability or the epoch cap."""
@@ -203,13 +209,12 @@ def run_search(dataset, model_cfg, cfg):
         epochs_run = epoch
         et0 = time.perf_counter()
         val_loss = searcher.run_epoch()
-        alpha = searcher.arch.alpha.data[0]
-        probs = searcher.arch.probabilities().data[0]
         trace.append({
-            "epoch": epoch, "alpha": alpha.tolist(), "p": probs.tolist(),
+            "epoch": epoch, "alpha": searcher.alpha.data[0].tolist(),
+            "p": nk.softmax(searcher.alpha).data[0].tolist(),
             "val_loss": val_loss, "wall_ms": (time.perf_counter() - et0) * 1e3,
         })
-        choice = searcher.arch.selected_window()
+        choice = searcher.selected_window()
         if choice == prev_choice:
             stable += 1
             if stable >= cfg.train.patience:
@@ -219,8 +224,8 @@ def run_search(dataset, model_cfg, cfg):
             prev_choice = choice
     result = SearchResult(
         windows=cfg.windows,
-        alpha=searcher.arch.alpha.data[0].tolist(),
-        selected_k=searcher.arch.selected_window(),
+        alpha=searcher.alpha.data[0].tolist(),
+        selected_k=searcher.selected_window(),
         trace=trace,
         wall_ms=(time.perf_counter() - t0) * 1e3,
         epochs_run=epochs_run,
@@ -248,7 +253,7 @@ def exhaustive_oracle(dataset, model_cfg, cfg):
     seeds = np.random.SeedSequence(cfg.train.seed).spawn(len(cfg.windows))
     for k, seed in zip(cfg.windows, seeds):
         kt0 = time.perf_counter()
-        k_cfg = fixed_window_config(model_cfg, k)
+        k_cfg = replace(model_cfg, windows=(k,))
         params = init_params(k_cfg, np.random.default_rng(seed))
         run_cfg = replace(cfg.train, seed=int(seed.generate_state(1)[0]) % (2 ** 31))
         result = fit(dataset, params, k_cfg, run_cfg)

@@ -124,10 +124,10 @@ def make_batches(dataset, examples, batch_size, n_neg, dist, rng, split):
     return batches
 
 
-def batch_loss(batch, params, cfg, *, rng, arch=None):
+def batch_loss(batch, params, cfg, *, rng, alpha=None):
     """Mean training-mode cross-entropy over the batch: positive target vs
     drawn negatives. ``rng`` draws the dropout masks."""
-    hidden = forward_hidden(batch.inputs, params, cfg, arch=arch, rng=rng)
+    hidden = forward_hidden(batch.inputs, params, cfg, alpha=alpha, rng=rng)
     raw_pos = score_items(hidden, batch.targets[:, None], params)
     raw_neg = score_items(hidden, batch.negatives, params)
     per_example = nk.add(nk.softplus(nk.scale(raw_pos, -1.0)),
@@ -135,14 +135,14 @@ def batch_loss(batch, params, cfg, *, rng, arch=None):
     return nk.mean_all(per_example)
 
 
-def train_step(batch, params, cfg, train_cfg, state, *, rng, arch=None):
+def train_step(batch, params, cfg, train_cfg, state, *, rng, alpha=None):
     """One committed weight step on ``batch``: the loss, then Adam on every
     weight, with the padding row held at zero. Returns the loss value.
 
-    ``arch`` blends the candidate windows, as in the window search; its
-    logits are not updated here.
+    The logits ``alpha`` blend the candidate windows, as in the window
+    search; they are not updated here.
     """
-    loss = batch_loss(batch, params, cfg, arch=arch, rng=rng)
+    loss = batch_loss(batch, params, cfg, alpha=alpha, rng=rng)
     value = loss.item()
     if not math.isfinite(value):
         raise nk.NumericalError(f"training loss became non-finite: {value}")

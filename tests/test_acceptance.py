@@ -86,21 +86,21 @@ class TestCriterion1GradientCorrectness:
                             ch_hidden=8, layers=1, windows=(2, 3), dropout=0.0)
         rng = np.random.default_rng(0)
         params = m.init_params(cfg, rng)
-        arch = m.init_arch(cfg)
-        arch.alpha.data[...] = [[0.3, -0.2]]
+        alpha = m.init_arch(cfg)
+        alpha.data[...] = [[0.3, -0.2]]
         inputs = np.array([[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11],
                            [0, 0, 12, 1, 7, 3]])
         pos = np.array([[6], [2], [9]])
         neg = np.array([[10, 4], [11, 8], [5, 1]])
 
         def loss():
-            h = m.forward_hidden(inputs, params, cfg, arch)
+            h = m.forward_hidden(inputs, params, cfg, alpha)
             rp = m.score_items(h, pos, params)
             rn = m.score_items(h, neg, params)
             return nk.mean_all(nk.add(nk.softplus(nk.scale(rp, -1.0)),
                                       nk.sum_cols(nk.softplus(rn))))
 
-        leaves = [leaf for _, leaf in params.leaves()] + [arch.alpha]
+        leaves = [leaf for _, leaf in params.leaves()] + [alpha]
         err = nk.grad_check(loss, leaves, h=1e-6)
         elapsed = time.perf_counter() - t0
         ok = err <= 1e-4 and elapsed < 60.0

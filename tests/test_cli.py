@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import mixrec
 from mixrec import cli, model
+from mixrec.train import TrainConfig
 
 
 FAST = ["--max-len", "5", "--dim", "8", "--seq-hidden", "8", "--ch-hidden", "8",
@@ -25,9 +27,9 @@ FAST = ["--max-len", "5", "--dim", "8", "--seq-hidden", "8", "--ch-hidden", "8",
 _MODEL_OPTIONS = {"--max-len", "--dim", "--seq-hidden", "--ch-hidden", "--layers", "--dropout",
                   "--activation", "--norm-axis", "--disable-sequence-mixer",
                   "--disable-channel-mixer"}
-_TRAIN_OPTIONS = {"--learning-rate", "--batch-size", "--max-epochs", "--patience",
-                  "--negatives-per-positive", "--weight-decay", "--eval-negatives",
-                  "--eval-cutoff", "--seed"}
+_TRAIN_OPTIONS = {"--learning-rate", "--beta1", "--beta2", "--eps-adam", "--batch-size",
+                  "--max-epochs", "--patience", "--negatives-per-positive", "--weight-decay",
+                  "--eval-negatives", "--eval-cutoff", "--seed"}
 _RUN_OPTIONS = {"--out", "--config", "--dataset"}
 COMMAND_OPTIONS = {
     "ingest": {"--input", "--format", "--delimiter", "--header", "--min-interactions",
@@ -177,13 +179,18 @@ class TestDispatchAndExitCodes:
         ("train", "", ["--weight-decay", "nan"]),
         ("train", "", ["--weight-decay", "-1"]),
         ("train", "eps_adam = 0\n", []),
+        ("train", "", ["--seed", "-1"]),
+        ("train", "seed = -1\n", []),
+        ("eval", "", ["--seed", "-1"]),
+        ("bench", "", ["--seed", "-1"]),
     ], ids=["int-in-file", "float-in-file", "window-past-max-len", "dim-0", "layers-0",
             "batch-size-0", "negatives-per-positive--1", "eval-negatives--1", "max-epochs-0",
             "negatives-per-positive-0-in-file", "eval-eval-negatives--1", "bench-reps-0",
             "bench-lens-1", "eval-cutoff-0", "eval-cutoff-0-in-file", "eval-eval-cutoff-0",
             "bench-one-length", "bench-one-distinct-length", "dropout-1.5", "dropout--0.2",
             "dropout-nan", "learning-rate-nan", "weight-decay-nan", "weight-decay--1",
-            "eps-adam-0-in-file"])
+            "eps-adam-0-in-file", "seed--1", "seed--1-in-file", "eval-seed--1",
+            "bench-seed--1"])
     def test_bad_config_value_is_usage_error(self, tmp_path, command, conf, flags):
         (tmp_path / "run.conf").write_text(conf)
         if command == "bench":
@@ -223,12 +230,13 @@ class TestDispatchAndExitCodes:
         (["synth", "--vocab", "2"], "", "vocab"),
         (["search", "--arch-lr", "-1"], "", "arch_lr"),
         (["search", "--arch-lr", "nan"], "", "arch_lr"),
+        (["synth", "--seed", "-1"], "", "seed"),
     ], ids=["synth-max-len-1", "ingest-max-len-1", "ingest-min-interactions-0",
             "search-mode-in-file", "search-window-0", "empty-delimiter-flag",
             "empty-delimiter-in-file", "unknown-format-in-file", "format-flag",
             "activation-flag", "norm-axis-flag", "search-mode-flag", "split-flag",
             "synth-noise-1.5", "synth-kstar-0", "synth-kstar-40", "synth-len-2",
-            "synth-vocab-2", "search-arch-lr--1", "search-arch-lr-nan"])
+            "synth-vocab-2", "search-arch-lr--1", "search-arch-lr-nan", "synth-seed--1"])
     def test_bad_data_or_search_setting_is_usage_error(self, tmp_path, capsys, command,
                                                        conf, message):
         (tmp_path / "run.conf").write_text(conf)
@@ -270,15 +278,42 @@ class TestConfigResolution:
         assert resolved["len"] == "30"       # built-in default
         assert resolved["seed"] == "0"
 
-    def test_every_command_keeps_its_options(self):
+    @staticmethod
+    def command_options():
         sub = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
-        got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
-               for name, p in sub.choices.items()}
+        return {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+                for name, p in sub.choices.items()}
+
+    def test_every_command_keeps_its_options(self):
+        got = self.command_options()
         assert got == COMMAND_OPTIONS
         assert {name: len(opts) for name, opts in got.items()} == {
-            "ingest": 9, "synth": 9, "search": 25, "train": 24, "eval": 8, "oracle": 23,
-            "sweep": 25, "ablate": 23, "bench": 15}
+            "ingest": 9, "synth": 9, "search": 28, "train": 27, "eval": 8, "oracle": 26,
+            "sweep": 28, "ablate": 26, "bench": 15}
+
+    def test_every_setting_a_command_resolves_is_its_flag(self):
+        # the dataset sets num_items, and --K or --k the windows
+        model_keys = [f.name for f in fields(model.ModelConfig)
+                      if f.name not in ("num_items", "windows")]
+        train_keys = [f.name for f in fields(TrainConfig)]
+        reads = {command: model_keys + train_keys
+                 for command in ("search", "train", "oracle", "sweep", "ablate")}
+        reads["bench"] = model_keys
+        reads["eval"] = ["eval_negatives", "eval_cutoff", "seed"]  # its only train settings
+        got = self.command_options()
+        missing = {command: [key for key in keys
+                             if "--" + key.replace("_", "-") not in got[command]]
+                   for command, keys in reads.items()}
+        assert missing == {command: [] for command in reads}
+
+    def test_adam_settings_are_flags(self, tmp_path):
+        out = tmp_path / "train"
+        assert cli.main(["train", "--dataset", str(synth(tmp_path)), "--k", "2",
+                         "--beta1", "0.5", "--beta2", "0.9", "--eps-adam", "1e-6",
+                         "--out", str(out)] + FAST) == 0
+        resolved = set((out / "config.resolved").read_text().splitlines())
+        assert {"beta1 = 0.5", "beta2 = 0.9", "eps_adam = 1e-06"} <= resolved
 
     def test_default_synth_run_archives_the_pinned_config(self, tmp_path):
         assert cli.main(["synth", "--out", str(tmp_path)]) == 0
@@ -438,6 +473,9 @@ class TestArtifacts:
         ("num_items=20.0", "num_items 20.0 is not"), ("max_len=-5", "max_len -5 is not"),
         ("max_len=1", "max_len 1 is not"), ("item_counts=-100", "item_counts -100 is not"),
         ("item_counts=19.5", "item_counts 19.5 is not"),
+        ("item=2.5", "non-integer item"), ("item=true", "non-integer item"),
+        ("user=2.5", "user 2.5 is not"), ("user=-1", "user -1 is not"),
+        ("user=dup", "appears twice"),
     ])
     def test_a_dataset_that_contradicts_its_header_is_a_data_error(self, tmp_path, capsys,
                                                                     corrupt, message):
@@ -446,8 +484,10 @@ class TestArtifacts:
         header, users = json.loads(head), [json.loads(line) for line in lines]
         assert header["num_items"] == 20
         key, _, value = corrupt.partition("=")
-        if corrupt == "item":
-            users[0]["items"][-1] = 999
+        if key == "item":
+            users[0]["items"][-1] = json.loads(value or "999")
+        elif key == "user":  # another id for the second line, or the first line's
+            users[1]["user"] = users[0]["user"] if value == "dup" else json.loads(value)
         elif corrupt == "item_counts":
             header["item_counts"] = header["item_counts"][:2]
         elif key == "item_counts":  # one item's count

@@ -181,13 +181,24 @@ class TestBuildSequences:
         path.write_text("\n".join(json.dumps(rec, sort_keys=True)
                                   for rec in [header] + users) + "\n")
 
-    @pytest.mark.parametrize("item", [0, -1, 10, 999])
+    @pytest.mark.parametrize("item", [0, -1, 10, 999, 2.5, True])
     def test_load_rejects_an_item_outside_the_vocabulary(self, tmp_path, item):
         path, header, users = self.saved_lines(tmp_path)
         assert header["num_items"] == 9
         users[1]["items"][2] = item
         self.write_lines(path, header, users)
         with pytest.raises(d.DataError, match=r"outside 1\.\.9"):
+            d.SequenceDataset.load(path)
+
+    @pytest.mark.parametrize("user, message", [
+        (2.5, "user 2.5 is not an integer >= 0"), (True, "user True is not"),
+        (-1, "user -1 is not"), (None, "appears twice"),
+    ], ids=str)
+    def test_load_rejects_a_bad_or_repeated_user(self, tmp_path, user, message):
+        path, header, users = self.saved_lines(tmp_path)
+        users[2]["user"] = users[1]["user"] if user is None else user  # None: a repeat
+        self.write_lines(path, header, users)
+        with pytest.raises(d.DataError, match=message):
             d.SequenceDataset.load(path)
 
     @pytest.mark.parametrize("size", [2, 9, 11])

@@ -291,9 +291,9 @@ class TestMixture:
         cfg = toy_cfg(windows=(3,))
         rng = np.random.default_rng(8)
         params = m.init_params(cfg, rng)
-        arch = m.init_arch(cfg)
+        alpha = m.init_arch(cfg)
         x = nk.Tensor2(rng.normal(size=(cfg.max_len, cfg.dim)))
-        out = m.mixture_short_term(x, arch, params, cfg, 1, cfg.max_len)
+        out = m.mixture_short_term(x, alpha, params, cfg, 1, cfg.max_len)
         np.testing.assert_allclose(out.data, self._candidate_outputs(x, params, cfg)[0],
                                    atol=1e-14)
 
@@ -301,36 +301,30 @@ class TestMixture:
         cfg = toy_cfg()
         rng = np.random.default_rng(9)
         params = m.init_params(cfg, rng)
-        arch = m.init_arch(cfg)
+        alpha = m.init_arch(cfg)
         x = nk.Tensor2(rng.normal(size=(cfg.max_len, cfg.dim)))
         u, v = self._candidate_outputs(x, params, cfg)
-        out = m.mixture_short_term(x, arch, params, cfg, 1, cfg.max_len)
+        out = m.mixture_short_term(x, alpha, params, cfg, 1, cfg.max_len)
         np.testing.assert_allclose(out.data, (u + v) / 2.0, atol=1e-12)
 
     def test_log_two_logit_gives_one_third_two_thirds(self):
         cfg = toy_cfg()
         rng = np.random.default_rng(10)
         params = m.init_params(cfg, rng)
-        arch = m.init_arch(cfg)
-        arch.alpha.data[...] = [[0.0, math.log(2.0)]]
+        alpha = m.init_arch(cfg)
+        alpha.data[...] = [[0.0, math.log(2.0)]]
         x = nk.Tensor2(rng.normal(size=(cfg.max_len, cfg.dim)))
         u, v = self._candidate_outputs(x, params, cfg)
-        out = m.mixture_short_term(x, arch, params, cfg, 1, cfg.max_len)
+        out = m.mixture_short_term(x, alpha, params, cfg, 1, cfg.max_len)
         np.testing.assert_allclose(out.data, u / 3.0 + 2.0 * v / 3.0, atol=1e-12)
 
     def test_count_mismatch_rejected(self):
         cfg = toy_cfg()
         params = m.init_params(cfg, np.random.default_rng(0))
-        arch = m.ArchWeights(nk.Tensor2(np.zeros((1, 3))), (2, 3, 4))
+        alpha = nk.Tensor2(np.zeros((1, 3)))  # three logits, two candidate stacks
         x = nk.Tensor2(np.zeros((cfg.max_len, cfg.dim)))
-        with pytest.raises(ValueError):
-            m.mixture_short_term(x, arch, params, cfg, 1, cfg.max_len)
-
-    def test_selected_window_tracks_argmax(self):
-        arch = m.ArchWeights(nk.Tensor2([[0.3, 1.7, -0.2]]), (1, 2, 4))
-        assert arch.selected_window() == 2
-        probs = arch.probabilities().data[0]
-        assert int(np.argmax(probs)) == int(np.argmax(arch.alpha.data[0]))
+        with pytest.raises(ValueError, match="3 logits for 2 candidate stacks"):
+            m.mixture_short_term(x, alpha, params, cfg, 1, cfg.max_len)
 
 
 class TestFuseOutput:
@@ -403,8 +397,8 @@ class TestFullForward:
         zero_mixer_weights(params)
         params.out_w.data[...] = 0.0
         params.out_b.data[...] = 0.0
-        arch = m.init_arch(cfg)
-        h = m.forward_hidden(np.array([[0, 0, 1, 2, 3, 4]]), params, cfg, arch)
+        alpha = m.init_arch(cfg)
+        h = m.forward_hidden(np.array([[0, 0, 1, 2, 3, 4]]), params, cfg, alpha)
         np.testing.assert_array_equal(h.data, 0.0)
         raw = m.score_items(h, [1, 2, 3], params)
         np.testing.assert_array_equal(raw.data, np.zeros((1, 3)))
@@ -412,28 +406,28 @@ class TestFullForward:
     def test_train_mode_deterministic_given_seed(self):
         cfg = toy_cfg(dropout=0.5)
         params = m.init_params(cfg, np.random.default_rng(2))
-        arch = m.init_arch(cfg)
+        alpha = m.init_arch(cfg)
         inp = np.array([[0, 1, 2, 3, 4, 5]])
-        a = m.forward_hidden(inp, params, cfg, arch, rng=np.random.default_rng(11)).data
-        b = m.forward_hidden(inp, params, cfg, arch, rng=np.random.default_rng(11)).data
+        a = m.forward_hidden(inp, params, cfg, alpha, rng=np.random.default_rng(11)).data
+        b = m.forward_hidden(inp, params, cfg, alpha, rng=np.random.default_rng(11)).data
         np.testing.assert_array_equal(a, b)
 
     def test_every_leaf_and_alpha_receive_gradient(self):
         cfg = toy_cfg()
         rng = np.random.default_rng(3)
         params = m.init_params(cfg, rng)
-        arch = m.init_arch(cfg)
+        alpha = m.init_arch(cfg)
         inputs = np.array([[1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12]])
-        h = m.forward_hidden(inputs, params, cfg, arch)
+        h = m.forward_hidden(inputs, params, cfg, alpha)
         raw = m.score_items(h, np.array([[1, 2], [3, 4]]), params)
         loss = nk.mean_all(nk.softplus(raw))
         for _, leaf in params.leaves():
             leaf.zero_grad()
-        arch.alpha.zero_grad()
+        alpha.zero_grad()
         nk.backward(loss)
         for name, leaf in params.leaves():
             assert np.abs(leaf.grad).max() > 0, f"no gradient reached {name}"
-        assert np.all(np.abs(arch.alpha.grad) > 0)
+        assert np.all(np.abs(alpha.grad) > 0)
 
     def test_disable_flags_bypass_mixers(self):
         rng = np.random.default_rng(4)
@@ -447,20 +441,20 @@ class TestFullForward:
         cfg = toy_cfg(max_len=4, dim=3, seq_hidden=3, ch_hidden=3, windows=(1, 2))
         rng = np.random.default_rng(5)
         params = m.init_params(cfg, rng)
-        arch = m.init_arch(cfg)
-        arch.alpha.data[...] = [[0.2, -0.1]]
+        alpha = m.init_arch(cfg)
+        alpha.data[...] = [[0.2, -0.1]]
         inputs = np.array([[0, 1, 2, 3], [4, 5, 6, 7]])
         pos = np.array([[8], [9]])
         neg = np.array([[10, 11], [1, 2]])
 
         def loss():
-            h = m.forward_hidden(inputs, params, cfg, arch)
+            h = m.forward_hidden(inputs, params, cfg, alpha)
             raw_pos = m.score_items(h, pos, params)
             raw_neg = m.score_items(h, neg, params)
             return nk.mean_all(nk.add(nk.softplus(nk.scale(raw_pos, -1.0)),
                                       nk.sum_all(nk.softplus(raw_neg))))
 
-        leaves = [leaf for _, leaf in params.leaves()] + [arch.alpha]
+        leaves = [leaf for _, leaf in params.leaves()] + [alpha]
         assert nk.grad_check(loss, leaves, h=1e-6) <= 1e-4
 
 

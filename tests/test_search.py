@@ -38,7 +38,7 @@ class TestApproxInner:
         searcher = se.Searcher(ds, cfg, search_cfg())
         batch = tr.make_batches(ds, ds.split_examples("train"), 16,
                                 1, searcher.dist, np.random.default_rng(0), "train")[0]
-        virtual = se.approx_inner(searcher.params, searcher.arch, batch, 0.0,
+        virtual = se.approx_inner(searcher.params, searcher.alpha, batch, 0.0,
                                   cfg, np.random.default_rng(1))
         for name, leaf in searcher.params.leaves():
             np.testing.assert_array_equal(virtual[name], leaf.data)
@@ -58,9 +58,9 @@ class TestApproxInner:
         batch = tr.make_batches(ds, ds.split_examples("train"), 16,
                                 1, searcher.dist, np.random.default_rng(0), "train")[0]
         before = searcher.params.copy_data()
-        v1 = se.approx_inner(searcher.params, searcher.arch, batch, 0.05, cfg,
+        v1 = se.approx_inner(searcher.params, searcher.alpha, batch, 0.05, cfg,
                              np.random.default_rng(1))
-        v2 = se.approx_inner(searcher.params, searcher.arch, batch, 0.05, cfg,
+        v2 = se.approx_inner(searcher.params, searcher.alpha, batch, 0.05, cfg,
                              np.random.default_rng(1))
         for name in v1:
             np.testing.assert_array_equal(v1[name], v2[name])
@@ -75,7 +75,7 @@ class TestApproxInner:
         batch = tr.make_batches(ds, ds.split_examples("train"), 16,
                                 1, searcher.dist, np.random.default_rng(0), "train")[0]
         with np.errstate(invalid="ignore"), pytest.raises(nk.NumericalError, match="parameter"):
-            se.approx_inner(searcher.params, searcher.arch, batch, 0.05, cfg,
+            se.approx_inner(searcher.params, searcher.alpha, batch, 0.05, cfg,
                             np.random.default_rng(1))
 
 
@@ -89,11 +89,11 @@ class TestSearchSteps:
         val = tr.make_batches(ds, ds.split_examples("val"), 16, 1,
                               searcher.dist, np.random.default_rng(1), "val")
         w_before = searcher.params.copy_data()
-        a_before = searcher.arch.alpha.data.copy()
+        a_before = searcher.alpha.data.copy()
         searcher.arch_step(val[0], batches[0])
         for name, leaf in searcher.params.leaves():
             np.testing.assert_array_equal(leaf.data, w_before[name])
-        assert np.abs(searcher.arch.alpha.data - a_before).max() > 0
+        assert np.abs(searcher.alpha.data - a_before).max() > 0
 
     def test_weight_step_never_touches_alpha(self):
         ds = planted()
@@ -101,10 +101,10 @@ class TestSearchSteps:
         searcher = se.Searcher(ds, cfg, search_cfg())
         batches = tr.make_batches(ds, ds.split_examples("train"), 16, 1,
                                   searcher.dist, np.random.default_rng(0), "train")
-        a_before = searcher.arch.alpha.data.copy()
+        a_before = searcher.alpha.data.copy()
         w_before = searcher.params.copy_data()
         searcher.weight_step(batches[0])
-        np.testing.assert_array_equal(searcher.arch.alpha.data, a_before)
+        np.testing.assert_array_equal(searcher.alpha.data, a_before)
         changed = any(np.abs(leaf.data - w_before[name]).max() > 0
                       for name, leaf in searcher.params.leaves())
         assert changed
@@ -156,7 +156,7 @@ class TestSearchSteps:
                                                            "learning_rate": 0.0})
         w_before = searcher.params.copy_data()
         losses = [searcher.run_epoch() for _ in range(4)]
-        np.testing.assert_array_equal(searcher.arch.alpha.data, 0.0)
+        np.testing.assert_array_equal(searcher.alpha.data, 0.0)
         assert any(np.abs(leaf.data - w_before[name]).max() > 0
                    for name, leaf in searcher.params.leaves())
         assert losses[-1] < losses[0]
@@ -197,13 +197,13 @@ def taped_alpha_gradient(searcher, val_batch, inner_batch):
 
     def taped_pass(batch, weights):
         params = searcher.params.with_data(weights, True)
-        searcher.arch.alpha.zero_grad()
+        searcher.alpha.zero_grad()
         loss = tr.batch_loss(batch, params, searcher.model_cfg,
-                             arch=searcher.arch, rng=searcher.dropout_rng)
+                             alpha=searcher.alpha, rng=searcher.dropout_rng)
         nk.backward(loss)
-        return searcher.arch.alpha.grad.copy(), {name: leaf.grad for name, leaf in params.leaves()}
+        return searcher.alpha.grad.copy(), {name: leaf.grad for name, leaf in params.leaves()}
 
-    virtual = se.approx_inner(searcher.params, searcher.arch, inner_batch, lr,
+    virtual = se.approx_inner(searcher.params, searcher.alpha, inner_batch, lr,
                               searcher.model_cfg, searcher.dropout_rng)
     grad, moved = taped_pass(val_batch, virtual)
     if searcher.cfg.mode == "one_step_unrolled":
@@ -306,7 +306,19 @@ class TestRunSearch:
         ds = planted()
         result, searcher = se.run_search(ds, model_cfg(ds), search_cfg(max_epochs=3))
         assert result.selected_k == result.windows[int(np.argmax(result.alpha))]
-        assert result.selected_k == searcher.arch.selected_window()
+        assert result.selected_k == searcher.selected_window()
+
+    def test_selected_window_tracks_argmax(self):
+        # the searcher takes its windows from the search config
+        ds = planted()
+        searcher = se.Searcher(ds, model_cfg(ds, windows=(1, 2)), search_cfg(windows=(1, 2, 4)))
+        searcher.alpha.data[...] = [[0.3, 1.7, -0.2]]
+        assert searcher.selected_window() == 2
+        assert int(np.argmax(nk.softmax(searcher.alpha).data[0])) == 1
+        searcher.alpha.data[...] = [[0.3, 1.7, 1.7]]  # a tie goes to the smaller window
+        assert searcher.selected_window() == 2
+        searcher.alpha.data[...] = 0.0
+        assert searcher.selected_window() == 1
 
     def test_singleton_candidate_short_circuits(self):
         ds = planted()
