@@ -28,8 +28,7 @@ from . import numkit as nk
 from .data import (DataError, ParseFormat, SequenceDataset, build_sequences,
                    filter_users, parse_interactions, synthesize_log)
 from .evaluate import evaluate_split
-from .model import (DataFormatError, ModelConfig, forward_hidden, init_params,
-                    load_checkpoint, save_checkpoint)
+from .model import ModelConfig, forward_hidden, init_params, load_checkpoint, save_checkpoint
 from .search import SearchConfig, SearchResult, exhaustive_oracle, run_search
 from .train import TrainConfig, fit, write_trace
 
@@ -43,7 +42,7 @@ DEFAULTS = {
     "delimiter": "\t", "format": "generic", "header": False, "min_interactions": 10,
     # synthetic generator
     "users": 200, "len": 30, "vocab": 50, "kstar": 2, "noise": 0.0,
-    # padded input length (a dataset's own length wins where there is one)
+    # padded input length; a command that reads a dataset takes the dataset's
     "max_len": 50,
     # search
     "K": "1,2,4", "search_mode": "first_order", "k": 0,
@@ -131,11 +130,8 @@ def _config(cls, label, cfg, **given):
         raise UsageError(f"{label} config: {exc}") from None
 
 
-def _model_config(cfg, num_items, windows, max_len=None):
-    # dataset-consuming commands pass the dataset's padded length, which is
-    # authoritative over any configured default
-    return _config(ModelConfig, "model", cfg, num_items=num_items, windows=windows,
-                   max_len=max_len or cfg["max_len"])
+def _model_config(cfg, num_items, windows):
+    return _config(ModelConfig, "model", cfg, num_items=num_items, windows=windows)
 
 
 def _train_config(cfg):
@@ -165,10 +161,14 @@ def _build_sequences(log, max_len):
         raise UsageError(str(exc)) from None
 
 
-def _load_dataset(path):
+def _load_dataset(path, cfg):
+    """The dataset at ``path``; its padded length becomes ``cfg``'s, so the
+    archived config holds the length that ran."""
     if not Path(path).exists():
         raise DataError(f"dataset file not found: {path}")
-    return SequenceDataset.load(path)
+    dataset = SequenceDataset.load(path)
+    cfg["max_len"] = dataset.max_len
+    return dataset
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +207,9 @@ def cmd_synth(args, cfg, out):
 
 
 def cmd_search(args, cfg, out):
-    dataset = _load_dataset(args.dataset)
+    dataset = _load_dataset(args.dataset, cfg)
     windows = _parse_windows(cfg["K"])
-    model_cfg = _model_config(cfg, dataset.num_items, windows, dataset.max_len)
+    model_cfg = _model_config(cfg, dataset.num_items, windows)
     search_cfg = _search_config(cfg, windows)
     result, _ = run_search(dataset, model_cfg, search_cfg)
     (out / "search_result.json").write_text(result.to_json() + "\n")
@@ -233,9 +233,9 @@ def _resolve_fixed_window(args, cfg):
 
 
 def cmd_train(args, cfg, out):
-    dataset = _load_dataset(args.dataset)
+    dataset = _load_dataset(args.dataset, cfg)
     window = _resolve_fixed_window(args, cfg)
-    model_cfg = _model_config(cfg, dataset.num_items, (window,), dataset.max_len)
+    model_cfg = _model_config(cfg, dataset.num_items, (window,))
     params = init_params(model_cfg, np.random.default_rng(cfg["seed"]))
     result = fit(dataset, params, model_cfg, _train_config(cfg))
     save_checkpoint(out / "checkpoint.bin", params, model_cfg)
@@ -246,7 +246,7 @@ def cmd_train(args, cfg, out):
 
 
 def cmd_eval(args, cfg, out):
-    dataset = _load_dataset(args.dataset)
+    dataset = _load_dataset(args.dataset, cfg)
     if not Path(args.checkpoint).exists():
         raise DataError(f"checkpoint not found: {args.checkpoint}")
     params, model_cfg = load_checkpoint(args.checkpoint)
@@ -258,6 +258,10 @@ def cmd_eval(args, cfg, out):
         raise DataError(
             f"checkpoint was trained on {model_cfg.num_items} items but the "
             f"dataset has {dataset.num_items}")
+    if len(model_cfg.windows) != 1:
+        raise DataError(
+            f"checkpoint holds {len(model_cfg.windows)} candidate windows "
+            f"{list(model_cfg.windows)}; eval needs a fixed-window model")
     settings = _train_config(cfg)  # the eval settings are train settings too
     metrics = evaluate_split(params, model_cfg, dataset, args.split,
                              num_negatives=settings.eval_negatives,
@@ -271,7 +275,7 @@ def _fit_and_rank_test(dataset, run):
     """Train a fixed-window model on the ``run`` settings, then rank the
     test split; returns the validation and test metrics."""
     window = run["k"] if run["k"] > 0 else _parse_windows(run["K"])[0]
-    model_cfg = _model_config(run, dataset.num_items, (window,), dataset.max_len)
+    model_cfg = _model_config(run, dataset.num_items, (window,))
     train_cfg = _train_config(run)
     params = init_params(model_cfg, np.random.default_rng(train_cfg.seed))
     result = fit(dataset, params, model_cfg, train_cfg)
@@ -283,7 +287,7 @@ def _fit_and_rank_test(dataset, run):
 
 
 def cmd_sweep(args, cfg, out):
-    dataset = _load_dataset(args.dataset)
+    dataset = _load_dataset(args.dataset, cfg)
     records = []
     for layers in _parse_windows(cfg["sweep_layers"]):
         for dim in _parse_windows(cfg["sweep_dims"]):
@@ -299,7 +303,7 @@ ABLATIONS = (("no_sequence_mixer", "disable_sequence_mixer"),
 
 
 def cmd_ablate(args, cfg, out):
-    dataset = _load_dataset(args.dataset)
+    dataset = _load_dataset(args.dataset, cfg)
     # each flag selects its variant; no flag selects the whole table
     selected = [(name, key) for name, key in ABLATIONS if getattr(args, key)] or ABLATIONS
     base = dict(cfg, **{key: False for _, key in ABLATIONS})
@@ -312,9 +316,9 @@ def cmd_ablate(args, cfg, out):
 
 
 def cmd_oracle(args, cfg, out):
-    dataset = _load_dataset(args.dataset)
+    dataset = _load_dataset(args.dataset, cfg)
     windows = _parse_windows(cfg["K"])
-    model_cfg = _model_config(cfg, dataset.num_items, windows, dataset.max_len)
+    model_cfg = _model_config(cfg, dataset.num_items, windows)
     search_cfg = _search_config(cfg, windows)
     result = exhaustive_oracle(dataset, model_cfg, search_cfg)
     record = {"best_k": result.best_k, "per_window": result.per_window,
@@ -439,7 +443,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, DataFormatError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except nk.NumericalError as exc:

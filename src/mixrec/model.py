@@ -25,14 +25,14 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import numkit as nk
-from .data import PAD
+from .data import PAD, DataError
 
 CHECKPOINT_MAGIC = b"MIXREC-CKPT"
 CHECKPOINT_VERSION = 1
 LN_EPS = 1e-5
 
 
-class DataFormatError(RuntimeError):
+class DataFormatError(DataError):
     """A persisted artifact does not match its declared layout."""
 
 

@@ -6,7 +6,7 @@ An operation records a backward closure on its output node exactly when one
 of its operands requires grad; on constant operands it computes the value
 alone. There is no global recording mode: a pass that needs no tape runs on
 constant leaves. Calling ``backward`` on a scalar result replays the recorded
-graph in reverse topological order and accumulates gradients into the leaves.
+graph in reverse topological order into the leaves it reaches.
 """
 
 from __future__ import annotations
@@ -90,9 +90,10 @@ def _replayed(g):
 class Tensor2:
     """A rows x cols float64 matrix, optionally a node in an autodiff graph.
 
-    Leaves created with ``requires_grad=True`` start with an all-zero
-    ``grad`` buffer, so parameters untouched by a forward pass report an
-    exact zero gradient after ``backward``. A constant holds no buffer.
+    A leaf created with ``requires_grad=True`` starts with an all-zero
+    ``grad`` buffer; a constant holds none. After ``backward(root)``, a leaf
+    that root's graph reaches holds d root / d leaf alone; one it does not
+    reach keeps its buffer, all zeros if no graph has reached it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -161,7 +162,11 @@ def _accum(t, g, owned=False):
 
 
 def backward(root):
-    """Reverse-replay the graph below ``root``, accumulating leaf gradients.
+    """Reverse-replay the graph below ``root`` into its leaves' gradients.
+
+    Each leaf the graph reaches is reset (``zero_grad``) before the first
+    closure runs, so it ends up holding d root / d leaf alone; a leaf the
+    graph does not reach keeps its buffer.
 
     Each interior node is released as soon as its closure has run: the
     closure, with the operands, masks and buffers it saved, and the links to
@@ -185,8 +190,11 @@ def backward(root):
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in visited and parent._backward is not None:
+            if id(parent) not in visited and parent.requires_grad:
                 stack.append((parent, False))
+    for node in topo:
+        if node._backward is None:  # a leaf
+            node.zero_grad()
     if root.grad is None:
         root.grad = np.zeros_like(root.data)
     root.grad += np.ones_like(root.data)
@@ -508,7 +516,7 @@ def grad_check(f, params, h=1e-5, denom_floor=1e-8):
     """
     if h <= 0:
         raise ValueError(f"grad_check: step must be positive, got {h}")
-    for p in params:
+    for p in params:  # backward resets only the leaves ``f`` reaches
         p.zero_grad()
     out = f()
     if not np.isfinite(out.data).all():

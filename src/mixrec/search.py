@@ -14,6 +14,7 @@ compares validation MRR directly.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -43,8 +44,8 @@ class SearchConfig:
             raise ValueError(f"windows must be strictly increasing, got {self.windows}")
         if self.mode not in ("first_order", "one_step_unrolled"):
             raise ValueError(f"unknown search mode {self.mode!r}")
-        if not self.arch_lr >= 0:  # NaN fails too
-            raise ValueError(f"arch_lr must be >= 0, got {self.arch_lr}")
+        if not (self.arch_lr >= 0 and math.isfinite(self.arch_lr)):  # NaN fails too
+            raise ValueError(f"arch_lr must be finite and >= 0, got {self.arch_lr}")
 
 
 @dataclass
@@ -62,15 +63,20 @@ class SearchResult:
 
     @classmethod
     def from_json(cls, text):
+        """Parse a saved result: each window and ``selected_k`` must be a
+        JSON integer >= 1, and ``selected_k`` one of the windows."""
         d = json.loads(text)
-        return cls(**dict(d, windows=tuple(d["windows"])))
+        windows, k = tuple(d["windows"]), d["selected_k"]
+        for w in windows + (k,):
+            if type(w) is not int or w < 1:  # a JSON true or 2.0 is no window
+                raise ValueError(f"window {w!r} is not an integer >= 1")
+        if k not in windows:
+            raise ValueError(f"selected_k {k} is not one of the windows {list(windows)}")
+        return cls(**dict(d, windows=windows))
 
 
 def _backprop_loss(batch, params, alpha, model_cfg, rng):
-    """Zero alpha's gradient, then run and replay ``batch``'s training loss;
-    returns the loss value. The weights' gradients are the caller's: fresh
-    leaves start at zero (or hold none, if constant)."""
-    alpha.zero_grad()
+    """Run and replay ``batch``'s training loss; returns the loss value."""
     loss = batch_loss(batch, params, model_cfg, alpha=alpha, rng=rng)
     nk.backward(loss)
     return loss.item()
@@ -78,8 +84,6 @@ def _backprop_loss(batch, params, alpha, model_cfg, rng):
 
 def approx_inner(params, alpha, batch, lr, model_cfg, rng):
     """Virtual one-step weights W' = W - lr * grad(training loss), uncommitted."""
-    for _, leaf in params.leaves():
-        leaf.zero_grad()
     _backprop_loss(batch, params, alpha, model_cfg, rng)
     virtual = {}
     for name, leaf in params.leaves():
@@ -108,7 +112,6 @@ class Searcher:
         self.a_state = AdamState()
         self.arch_cfg = replace(cfg.train, learning_rate=cfg.arch_lr, weight_decay=0.0)
         self.dist = PopularityDist(dataset.item_counts)
-        self.last_val_loss = None
 
     def _loss_at(self, batch, weights, frozen):
         """``_backprop_loss`` on fresh leaves that hold ``weights``; returns the
@@ -120,7 +123,8 @@ class Searcher:
         return _backprop_loss(batch, params, self.alpha, self.model_cfg, self.dropout_rng), params
 
     def alpha_gradient(self, val_batch, inner_batch):
-        """d(validation loss)/d(alpha) at the one-step lookahead weights.
+        """d(validation loss)/d(alpha) at the one-step lookahead weights, and
+        that validation loss.
 
         The first-order pass reads only alpha's gradient, so it runs with the
         weights frozen; the unrolled mode also needs the validation gradient
@@ -130,12 +134,12 @@ class Searcher:
         virtual = approx_inner(self.params, self.alpha, inner_batch, lr,
                                self.model_cfg, self.dropout_rng)
         unrolled = self.cfg.mode == "one_step_unrolled"
-        self.last_val_loss, at_virtual = self._loss_at(val_batch, virtual, frozen=not unrolled)
+        val_loss, at_virtual = self._loss_at(val_batch, virtual, frozen=not unrolled)
         grad = self.alpha.grad.copy()
         if unrolled:
             moved = {name: leaf.grad for name, leaf in at_virtual.leaves()}
             grad -= lr * self._alpha_hessian_vector(inner_batch, moved)
-        return grad
+        return grad, val_loss
 
     def _alpha_hessian_vector(self, inner_batch, direction):
         """Finite-difference d/d(alpha) of <grad_W L_train, direction>.
@@ -159,10 +163,11 @@ class Searcher:
         return (alpha_grad_at(+1.0) - alpha_grad_at(-1.0)) / (2.0 * eps)
 
     def arch_step(self, val_batch, inner_batch):
-        """Update the window logits from a validation mini-batch only."""
-        grad = self.alpha_gradient(val_batch, inner_batch)
-        adam_update([(ALPHA_KEY, self.alpha)], {ALPHA_KEY: grad},
-                    self.a_state, self.arch_cfg)
+        """Update the window logits from a validation mini-batch only;
+        returns the validation loss."""
+        self.alpha.grad, val_loss = self.alpha_gradient(val_batch, inner_batch)
+        adam_update([(ALPHA_KEY, self.alpha)], self.a_state, self.arch_cfg)
+        return val_loss
 
     def weight_step(self, train_batch):
         """Update the model weights from a training mini-batch only."""
@@ -187,8 +192,7 @@ class Searcher:
             val_batch = val_batches[vi % len(val_batches)]
             inner = train_batches[ti]
             step_batch = train_batches[min(ti + 1, len(train_batches) - 1)]
-            self.arch_step(val_batch, inner)
-            val_losses.append(self.last_val_loss)
+            val_losses.append(self.arch_step(val_batch, inner))
             self.weight_step(step_batch)
         return float(np.mean(val_losses))
 

@@ -31,10 +31,11 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("learning_rate", "weight_decay"):
-            if not getattr(self, name) >= 0:  # NaN fails too
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.eps_adam > 0:
-            raise ValueError(f"eps_adam must be > 0, got {self.eps_adam}")
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not (self.eps_adam > 0 and math.isfinite(self.eps_adam)):
+            raise ValueError(f"eps_adam must be finite and > 0, got {self.eps_adam}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
         for name in ("batch_size", "max_epochs", "patience", "negatives_per_positive",
@@ -54,17 +55,15 @@ class AdamState:
         self.t = 0
 
 
-def adam_update(named_params, grads, state, cfg):
-    """One Adam step with bias correction over (name, tensor) pairs."""
+def adam_update(named_params, state, cfg):
+    """One Adam step with bias correction over (name, leaf) pairs, each leaf
+    moved along the gradient in its ``grad``."""
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, p in named_params:
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise nk.ShapeError(
-                f"adam_update {name}: grad {g.shape} vs param {p.data.shape}")
+        g = p.grad
         if cfg.weight_decay:
             g = g + cfg.weight_decay * p.data
         m = state.m.get(name)
@@ -146,11 +145,8 @@ def train_step(batch, params, cfg, train_cfg, state, *, rng, alpha=None):
     value = loss.item()
     if not math.isfinite(value):
         raise nk.NumericalError(f"training loss became non-finite: {value}")
-    leaves = params.leaves()
-    for _, leaf in leaves:
-        leaf.zero_grad()
     nk.backward(loss)
-    adam_update(leaves, {n: l.grad for n, l in leaves}, state, train_cfg)
+    adam_update(params.leaves(), state, train_cfg)
     freeze_padding_rows(params)
     return value
 

@@ -106,6 +106,12 @@ CHECKPOINT_HEADER = (
     '"version": 1}')
 
 
+def search_result(windows, selected_k):
+    return json.dumps({"windows": windows, "selected_k": selected_k, "alpha": [0.0, 0.0],
+                       "trace": [], "wall_ms": 1.0, "epochs_run": 1,
+                       "mode": "first_order"}) + "\n"
+
+
 def synth(tmp_path, name="data", **kw):
     out = tmp_path / name
     args = ["synth", "--users", "25", "--len", "12", "--vocab", "20", "--kstar", "1",
@@ -147,6 +153,21 @@ class TestDispatchAndExitCodes:
                          "--eval-negatives", "8", "--out", str(tmp_path / "out")])
         assert code == 3
 
+    def test_eval_of_a_multi_window_checkpoint_is_data_error(self, tmp_path, capsys):
+        # a well-formed checkpoint of the search's blended model, not a
+        # fixed-window one
+        dataset = synth(tmp_path)
+        cfg = model.ModelConfig(num_items=20, max_len=5, dim=4, seq_hidden=4, ch_hidden=4,
+                                layers=1, windows=(1, 2))
+        checkpoint = tmp_path / "checkpoint.bin"
+        model.save_checkpoint(checkpoint, model.init_params(cfg, np.random.default_rng(0)),
+                              cfg)
+        capsys.readouterr()
+        code = cli.main(["eval", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                         "--eval-negatives", "8", "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "fixed-window" in capsys.readouterr().err
+
     def test_train_without_window_is_usage_error(self, tmp_path):
         dataset = synth(tmp_path)
         code = cli.main(["train", "--dataset", str(dataset),
@@ -176,7 +197,11 @@ class TestDispatchAndExitCodes:
         ("train", "", ["--dropout", "-0.2"]),
         ("train", "", ["--dropout", "nan"]),
         ("train", "", ["--learning-rate", "nan"]),
+        ("train", "", ["--learning-rate", "inf"]),
         ("train", "", ["--weight-decay", "nan"]),
+        ("train", "", ["--weight-decay", "inf"]),
+        ("train", "", ["--eps-adam", "inf"]),
+        ("train", "eps_adam = inf\n", []),
         ("train", "", ["--weight-decay", "-1"]),
         ("train", "eps_adam = 0\n", []),
         ("train", "", ["--seed", "-1"]),
@@ -188,7 +213,8 @@ class TestDispatchAndExitCodes:
             "negatives-per-positive-0-in-file", "eval-eval-negatives--1", "bench-reps-0",
             "bench-lens-1", "eval-cutoff-0", "eval-cutoff-0-in-file", "eval-eval-cutoff-0",
             "bench-one-length", "bench-one-distinct-length", "dropout-1.5", "dropout--0.2",
-            "dropout-nan", "learning-rate-nan", "weight-decay-nan", "weight-decay--1",
+            "dropout-nan", "learning-rate-nan", "learning-rate-inf", "weight-decay-nan",
+            "weight-decay-inf", "eps-adam-inf", "eps-adam-inf-in-file", "weight-decay--1",
             "eps-adam-0-in-file", "seed--1", "seed--1-in-file", "eval-seed--1",
             "bench-seed--1"])
     def test_bad_config_value_is_usage_error(self, tmp_path, command, conf, flags):
@@ -230,13 +256,15 @@ class TestDispatchAndExitCodes:
         (["synth", "--vocab", "2"], "", "vocab"),
         (["search", "--arch-lr", "-1"], "", "arch_lr"),
         (["search", "--arch-lr", "nan"], "", "arch_lr"),
+        (["search", "--arch-lr", "inf"], "", "arch_lr"),
         (["synth", "--seed", "-1"], "", "seed"),
     ], ids=["synth-max-len-1", "ingest-max-len-1", "ingest-min-interactions-0",
             "search-mode-in-file", "search-window-0", "empty-delimiter-flag",
             "empty-delimiter-in-file", "unknown-format-in-file", "format-flag",
             "activation-flag", "norm-axis-flag", "search-mode-flag", "split-flag",
             "synth-noise-1.5", "synth-kstar-0", "synth-kstar-40", "synth-len-2",
-            "synth-vocab-2", "search-arch-lr--1", "search-arch-lr-nan", "synth-seed--1"])
+            "synth-vocab-2", "search-arch-lr--1", "search-arch-lr-nan", "search-arch-lr-inf",
+            "synth-seed--1"])
     def test_bad_data_or_search_setting_is_usage_error(self, tmp_path, capsys, command,
                                                        conf, message):
         (tmp_path / "run.conf").write_text(conf)
@@ -306,6 +334,18 @@ class TestConfigResolution:
                              if "--" + key.replace("_", "-") not in got[command]]
                    for command, keys in reads.items()}
         assert missing == {command: [] for command in reads}
+
+    def test_a_command_that_reads_a_dataset_archives_its_max_len(self, tmp_path):
+        dataset = synth(tmp_path)  # built at max_len 5
+        train_out, eval_out = tmp_path / "train", tmp_path / "eval"
+        assert cli.main(["train", "--dataset", str(dataset), "--k", "2", "--out",
+                         str(train_out)] + FAST + ["--max-len", "20"]) == 0
+        assert cli.main(["eval", "--dataset", str(dataset), "--eval-negatives", "8",
+                         "--checkpoint", str(train_out / "checkpoint.bin"),
+                         "--out", str(eval_out)]) == 0  # its default is 50
+        for out in (train_out, eval_out):
+            resolved = (out / "config.resolved").read_text().splitlines()
+            assert "max_len = 5" in resolved, out.name
 
     def test_adam_settings_are_flags(self, tmp_path):
         out = tmp_path / "train"
@@ -501,7 +541,17 @@ class TestArtifacts:
         assert code == 3
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["nope\n", '{"alpha": [1.0]}\n', "[1, 2]\n"])
+    @pytest.mark.parametrize("text", [
+        "nope\n", '{"alpha": [1.0]}\n', "[1, 2]\n",
+        pytest.param(search_result([1, 2], True), id="k-true"),
+        pytest.param(search_result([1, 2], 2.5), id="k-2.5"),
+        pytest.param(search_result([1, 2], 3), id="k-not-a-window"),
+        pytest.param(search_result([1, 2], "abc"), id="k-abc"),
+        pytest.param(search_result([1, 2], 0), id="k-0"),
+        pytest.param(search_result([1, 2], [2]), id="k-a-list"),
+        pytest.param(search_result([1, 2.5], 1), id="window-2.5"),
+        pytest.param(search_result([True, 2], 2), id="window-true"),
+    ])
     def test_a_malformed_search_result_is_a_data_error(self, tmp_path, text):
         result = tmp_path / "search_result.json"
         result.write_text(text)

@@ -310,6 +310,22 @@ class TestAutodiffCore:
         np.testing.assert_array_equal(b.grad, 0.0)
         np.testing.assert_array_equal(a.grad, [[2.0, 4.0]])
 
+    def test_a_second_backward_leaves_only_its_own_gradient(self):
+        a = t([[1.0, 2.0]], grad=True)
+        nk.backward(nk.sum_all(nk.mul(a, a)))  # d/da = 2a
+        nk.backward(nk.sum_all(nk.scale(a, 3.0)))  # another graph: d/da = 3
+        np.testing.assert_array_equal(a.grad, [[3.0, 3.0]])
+
+    def test_a_leaf_the_graph_does_not_reach_keeps_its_buffer(self):
+        a = t([[1.0, 2.0]], grad=True)
+        b = t([[3.0, 4.0]], grad=True)
+        nk.backward(nk.sum_all(nk.mul(a, b)))
+        kept = b.grad
+        nk.backward(nk.sum_all(nk.scale(a, 3.0)))  # reaches a only
+        assert b.grad is kept
+        np.testing.assert_array_equal(b.grad, [[1.0, 2.0]])
+        np.testing.assert_array_equal(a.grad, [[3.0, 3.0]])
+
     def test_reused_node_accumulates(self):
         a = t([[2.0]], grad=True)
         y = nk.add(nk.mul(a, a), nk.mul(a, a))  # 2a^2, dy/da = 4a

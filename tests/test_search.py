@@ -131,7 +131,7 @@ class TestSearchSteps:
 
         def spy_arch(val_batch, inner_batch):
             seen["arch"].append((val_batch.split, inner_batch.split))
-            real_arch(val_batch, inner_batch)
+            return real_arch(val_batch, inner_batch)
 
         def spy_weight(batch):
             seen["weight"].append(batch.split)
@@ -143,6 +143,21 @@ class TestSearchSteps:
         assert seen["arch"] and seen["weight"]
         assert all(v == "val" and i == "train" for v, i in seen["arch"])
         assert all(s == "train" for s in seen["weight"])
+
+    def test_epoch_val_loss_is_the_mean_of_what_arch_step_returns(self):
+        ds = planted()
+        searcher = se.Searcher(ds, model_cfg(ds), search_cfg())
+        returned = []
+        real_arch = searcher.arch_step
+
+        def spy_arch(val_batch, inner_batch):
+            returned.append(real_arch(val_batch, inner_batch))
+            return returned[-1]
+
+        searcher.arch_step = spy_arch
+        mean = searcher.run_epoch()
+        assert returned and all(isinstance(v, float) for v in returned)
+        assert mean == float(np.mean(returned))
 
     def test_zero_arch_rate_freezes_alpha_while_weights_train(self):
         # alpha frozen at uniform: the search degenerates to training an
@@ -169,7 +184,7 @@ class TestSearchSteps:
                                   searcher.dist, np.random.default_rng(0), "train")
         val = tr.make_batches(ds, ds.split_examples("val"), 16, 1,
                               searcher.dist, np.random.default_rng(1), "val")
-        grad = searcher.alpha_gradient(val[0], batches[0])
+        grad, _ = searcher.alpha_gradient(val[0], batches[0])
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_one_step_unrolled_mode_runs_and_differs(self):
@@ -184,7 +199,7 @@ class TestSearchSteps:
                                       searcher.dist, np.random.default_rng(0), "train")
             val = tr.make_batches(ds, ds.split_examples("val"), 16, 1,
                                   searcher.dist, np.random.default_rng(1), "val")
-            grads[mode] = searcher.alpha_gradient(val[0], batches[0])
+            grads[mode], _ = searcher.alpha_gradient(val[0], batches[0])
         assert np.abs(grads["first_order"] - grads["one_step_unrolled"]).max() > 0
 
 
@@ -240,7 +255,7 @@ class TestAlphaOnlyPasses:
         val, inner = search_batches(ds, frozen)
         for _ in range(2):  # the second call starts from the first's dropout stream
             want = taped_alpha_gradient(taped, val, inner)
-            got = frozen.alpha_gradient(val, inner)
+            got, _ = frozen.alpha_gradient(val, inner)
             assert np.abs(want).max() > 0
             np.testing.assert_array_equal(got, want)
         # every pass drew the same dropout masks, in the same order
@@ -258,7 +273,7 @@ class TestAlphaOnlyPasses:
             return loss, params
 
         searcher._loss_at = spy
-        grad = searcher.alpha_gradient(*search_batches(ds, searcher))
+        grad, _ = searcher.alpha_gradient(*search_batches(ds, searcher))
         assert np.abs(grad).max() > 0
         [(frozen, params)] = passes
         assert frozen

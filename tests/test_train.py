@@ -18,23 +18,19 @@ class TestAdam:
     def one_param(self, value):
         return [("w", nk.Tensor2([[value]], requires_grad=True))]
 
+    def step(self, named, grad, state, cfg):
+        named[0][1].grad = np.array([[grad]], dtype=float)
+        tr.adam_update(named, state, cfg)
+
     def test_zero_gradient_keeps_params(self):
         named = self.one_param(1.5)
-        tr.adam_update(named, {"w": np.zeros((1, 1))}, tr.AdamState(),
-                       tr.TrainConfig(learning_rate=0.1))
+        self.step(named, 0.0, tr.AdamState(), tr.TrainConfig(learning_rate=0.1))
         assert named[0][1].data[0, 0] == 1.5
 
     def test_first_step_magnitude_is_learning_rate(self):
         named = self.one_param(1.0)
-        tr.adam_update(named, {"w": np.ones((1, 1))}, tr.AdamState(),
-                       tr.TrainConfig(learning_rate=0.1))
+        self.step(named, 1.0, tr.AdamState(), tr.TrainConfig(learning_rate=0.1))
         assert abs(named[0][1].data[0, 0] - 0.9) <= 1e-6
-
-    def test_shape_mismatch(self):
-        named = self.one_param(1.0)
-        with pytest.raises(nk.ShapeError):
-            tr.adam_update(named, {"w": np.ones((2, 1))}, tr.AdamState(),
-                           tr.TrainConfig())
 
     def test_deterministic(self):
         outs = []
@@ -44,7 +40,7 @@ class TestAdam:
             rng = np.random.default_rng(5)
             cfg = tr.TrainConfig(learning_rate=0.01)
             for _ in range(20):
-                tr.adam_update(named, {"w": rng.normal(size=(1, 1))}, state, cfg)
+                self.step(named, rng.normal(), state, cfg)
             outs.append(named[0][1].data.copy())
         np.testing.assert_array_equal(outs[0], outs[1])
 
@@ -54,10 +50,8 @@ class TestAdam:
         loss = lambda: nk.sum_all(nk.mul(w, w))
         assert nk.grad_check(loss, [w]) <= 1e-8
         before = loss().item()
-        w.zero_grad()
         nk.backward(loss())
-        tr.adam_update([("w", w)], {"w": w.grad}, tr.AdamState(),
-                       tr.TrainConfig(learning_rate=1e-6))
+        tr.adam_update([("w", w)], tr.AdamState(), tr.TrainConfig(learning_rate=1e-6))
         assert loss().item() <= before
 
     def test_bias_correction_matches_reference(self):
@@ -68,7 +62,7 @@ class TestAdam:
         state = tr.AdamState()
         w_ref, m_ref, v_ref = 0.0, 0.0, 0.0
         for t, g in enumerate(g_seq, start=1):
-            tr.adam_update(named, {"w": np.array([[g]])}, state, cfg)
+            self.step(named, g, state, cfg)
             m_ref = 0.9 * m_ref + 0.1 * g
             v_ref = 0.999 * v_ref + 0.001 * g * g
             mh = m_ref / (1 - 0.9 ** t)
@@ -185,7 +179,6 @@ class TestReleasedTape:
     def test_two_steps_peak_below_one_and_a_half_steps(self):
         ds, cfg = dropout_gelu_setup()
         params = m.init_params(cfg, np.random.default_rng(16))
-        leaves = params.leaves()
         (batch,) = tr.make_batches(ds, ds.split_examples("train")[:32], 32, 1,
                                    d.PopularityDist(ds.item_counts),
                                    np.random.default_rng(17), "train")
@@ -198,8 +191,6 @@ class TestReleasedTape:
             tracemalloc.reset_peak()
             for _ in range(steps):
                 loss = tr.batch_loss(batch, params, cfg, rng=rng)
-                for _, leaf in leaves:
-                    leaf.zero_grad()
                 nk.backward(loss)
             return tracemalloc.get_traced_memory()[1] - base
 
