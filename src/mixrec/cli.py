@@ -220,6 +220,8 @@ def cmd_search(args, cfg, out):
 
 def _resolve_fixed_window(args, cfg):
     if args.search_result:
+        if cfg["k"] > 0:  # the archived k would not be the window that ran
+            raise UsageError("give --k or --search-result, not both")
         path = Path(args.search_result)
         if not path.exists():
             raise DataError(f"search result not found: {path}")
@@ -404,7 +406,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     fitting = MODEL_FLAGS + TRAIN_FLAGS
     _add_command(sub, "ingest", cmd_ingest, "parse, filter, and split an interaction log",
-                 ("format", "delimiter", "header", "min_interactions", "max_len", "seed"),
+                 ("format", "delimiter", "header", "min_interactions", "max_len"),
                  dataset=False).add_argument("--input", required=True)
     _add_command(sub, "synth", cmd_synth, "generate a planted-dependency synthetic log",
                  ("users", "len", "vocab", "kstar", "noise", "max_len", "seed"), dataset=False)

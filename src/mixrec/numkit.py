@@ -2,11 +2,24 @@
 
 Everything is float64 and strictly two-dimensional. Vectors are 1 x n
 tensors; mini-batches are row-stacked blocks (see ``batch_transpose``).
-An operation records a backward closure on its output node exactly when one
-of its operands requires grad; on constant operands it computes the value
-alone. There is no global recording mode: a pass that needs no tape runs on
-constant leaves. Calling ``backward`` on a scalar result replays the recorded
-graph in reverse topological order into the leaves it reaches.
+An operation records a node exactly when one of its operands requires grad;
+on constant operands it computes the value alone. There is no global
+recording mode: a pass that needs no tape runs on constant leaves. Calling
+``backward`` on a scalar result replays the recorded graph in reverse
+topological order into the leaves it reaches.
+
+The tape holds slots, not values. A taped tensor's slot (``_Slot``) holds its
+gradient, its taped operands' slots and its backward closure; the closure
+captures those slots and only the arrays its backward reads, never a
+``Tensor2``. So an op's output value lives only as long as the forward code
+or a later op's saved array needs it. What each op saves:
+
+- ``mul``, ``matmul``, ``row_dot``: an operand only when the other one is
+  taped (a dropout ``mul`` saves the mask, not the activation);
+- ``gelu``: its derivative, computed in the forward pass; ``relu``: a
+  boolean ``x > 0``; ``softplus``: its input; ``softmax``: its output;
+- ``layer_norm``: the normalized rows, the inverse deviations and gamma;
+- every other op: shapes and indices alone.
 """
 
 from __future__ import annotations
@@ -87,16 +100,38 @@ def _replayed(g):
     raise GraphReleasedError("this graph was already replayed by backward; run the forward again")
 
 
+class _Slot:
+    """A taped tensor's place on the tape.
+
+    It holds the gradient buffer, the slots of the taped operands
+    (``parents``) and the closure that sends this node's gradient to them
+    (``backward``; None on a leaf). ``shape`` sizes a leaf's reset. A slot
+    never refers to a ``Tensor2``, so the tape keeps only what the closures
+    saved, and an op's output value is freed as soon as the forward code
+    drops it.
+    """
+
+    __slots__ = ("shape", "grad", "parents", "backward")
+
+    def __init__(self, shape, grad, parents=(), backward=None):
+        self.shape = shape
+        self.grad = grad
+        self.parents = parents
+        self.backward = backward
+
+
 class Tensor2:
     """A rows x cols float64 matrix, optionally a node in an autodiff graph.
 
-    A leaf created with ``requires_grad=True`` starts with an all-zero
-    ``grad`` buffer; a constant holds none. After ``backward(root)``, a leaf
-    that root's graph reaches holds d root / d leaf alone; one it does not
-    reach keeps its buffer, all zeros if no graph has reached it.
+    A taped tensor (a leaf created with ``requires_grad=True``, or the output
+    of an op on a taped operand) holds its gradient and its graph links in a
+    slot (``_Slot``); a constant holds none. A leaf starts with an all-zero
+    ``grad`` buffer. After ``backward(root)``, a leaf that root's graph
+    reaches holds d root / d leaf alone; one it does not reach keeps its
+    buffer, all zeros if no graph has reached it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "_slot")
 
     def __init__(self, data, requires_grad=False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
@@ -105,10 +140,34 @@ class Tensor2:
         if arr.ndim != 2:
             raise ShapeError(f"Tensor2 requires 2-D data, got ndim={arr.ndim}")
         self.data = arr
-        self.requires_grad = requires_grad
-        self.grad = np.zeros_like(arr) if requires_grad else None
-        self._parents = ()
-        self._backward = None
+        self._slot = _Slot(arr.shape, np.zeros_like(arr)) if requires_grad else None
+
+    @property
+    def requires_grad(self):
+        return self._slot is not None
+
+    @property
+    def grad(self):
+        return None if self._slot is None else self._slot.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._slot is None:
+            raise AttributeError("a constant tensor holds no gradient")
+        self._slot.grad = value
+
+    @property
+    def _parents(self):
+        """The slots of the taped operands this node was computed from."""
+        return () if self._slot is None else self._slot.parents
+
+    @property
+    def _backward(self):
+        return None if self._slot is None else self._slot.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._slot.backward = fn
 
     @property
     def rows(self):
@@ -128,24 +187,27 @@ class Tensor2:
         return float(self.data[0, 0])
 
     def zero_grad(self):
-        self.grad = np.zeros_like(self.data) if self.requires_grad else None
+        if self._slot is not None:
+            self._slot.grad = np.zeros_like(self.data)
 
     def __repr__(self):
         return f"Tensor2({self.rows}x{self.cols}, requires_grad={self.requires_grad})"
 
 
-def _node(data, parents, backward_fn):
-    """Create a graph node; records it only when an operand requires grad."""
+def _node(data, operands, backward_fn):
+    """Create a graph node from the operands' slots (None for a constant);
+    records it only when one of them is taped. ``backward_fn`` captures the
+    taped operands' slots and only the arrays it reads."""
     out = Tensor2(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward_fn
+    parents = tuple(s for s in operands if s is not None)
+    if parents:
+        out._slot = _Slot(out.data.shape, None, parents, backward_fn)
     return out
 
 
-def _accum(t, g, owned=False):
-    """Add ``g`` into ``t.grad``; the first contribution sets it.
+def _accum(slot, g, owned=False):
+    """Add ``g`` into ``slot.grad``; the first contribution sets it. A
+    constant operand (``slot`` None) takes nothing.
 
     ``owned`` marks an array the calling op has just created and holds no
     other reference to; it becomes the buffer as is. Any other ``g`` (a view
@@ -153,31 +215,34 @@ def _accum(t, g, owned=False):
     into a fresh C-ordered buffer, ``g + 0.0``, which like ``0 + g`` turns
     -0.0 into +0.0.
     """
-    if not t.requires_grad:
+    if slot is None:
         return
-    if t.grad is None:
-        t.grad = g if owned else np.add(g, 0.0, order="C")
+    if slot.grad is None:
+        slot.grad = g if owned else np.add(g, 0.0, order="C")
     else:
-        t.grad += g
+        slot.grad += g
 
 
 def backward(root):
     """Reverse-replay the graph below ``root`` into its leaves' gradients.
 
-    Each leaf the graph reaches is reset (``zero_grad``) before the first
-    closure runs, so it ends up holding d root / d leaf alone; a leaf the
-    graph does not reach keeps its buffer.
+    Each leaf the graph reaches is reset to zeros before the first closure
+    runs, so it ends up holding d root / d leaf alone; a leaf the graph does
+    not reach keeps its buffer. A constant ``root`` has no graph and reaches
+    no leaf.
 
-    Each interior node is released as soon as its closure has run: the
-    closure, with the operands, masks and buffers it saved, and the links to
-    its parents are dropped, so the tape shrinks as the replay goes down it
-    and no tape outlives its backward. A released node cannot be replayed
-    again: reaching one raises ``GraphReleasedError`` before any gradient
-    moves.
+    Each interior slot is released as soon as its closure has run: the
+    closure, with the arrays it saved, and the links to its parents are
+    dropped, so the tape shrinks as the replay goes down it and no tape
+    outlives its backward. A released slot cannot be replayed again:
+    reaching one raises ``GraphReleasedError`` before any gradient moves.
     """
+    top = root._slot
+    if top is None:
+        return
     topo = []
     visited = set()
-    stack = [(root, False)]
+    stack = [(top, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -185,25 +250,25 @@ def backward(root):
             continue
         if id(node) in visited:
             continue
-        if node._backward is _replayed:
+        if node.backward is _replayed:
             _replayed(None)  # before any gradient moves
         visited.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in visited and parent.requires_grad:
+        for parent in node.parents:
+            if id(parent) not in visited:
                 stack.append((parent, False))
     for node in topo:
-        if node._backward is None:  # a leaf
-            node.zero_grad()
-    if root.grad is None:
-        root.grad = np.zeros_like(root.data)
-    root.grad += np.ones_like(root.data)
+        if node.backward is None:  # a leaf
+            node.grad = np.zeros(node.shape)
+    if top.grad is None:
+        top.grad = np.zeros(top.shape)
+    top.grad += 1.0
     while topo:
         node = topo.pop()
-        if node._backward is not None:
-            node._backward(node.grad)
+        if node.backward is not None:
+            node.backward(node.grad)
             node.grad = None  # interior buffers are single-use
-            node._parents, node._backward = (), _replayed
+            node.parents, node.backward = (), _replayed
 
 
 def _unbroadcast(g, shape):
@@ -226,45 +291,58 @@ def _check_broadcast(a, b, opname):
 
 def add(a, b):
     _check_broadcast(a, b, "add")
+    sa, sb, shape_a, shape_b = a._slot, b._slot, a.shape, b.shape
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
-    return _node(a.data + b.data, (a, b), bwd)
+        _accum(sa, _unbroadcast(g, shape_a))
+        _accum(sb, _unbroadcast(g, shape_b))
+    return _node(a.data + b.data, (sa, sb), bwd)
+
+
+def _saved_for(slot, t):
+    """``t.data`` if the operand behind ``slot`` will need it for its
+    gradient, else None: an op saves an operand only for its taped partner."""
+    return None if slot is None else t.data
 
 
 def mul(a, b):
     _check_broadcast(a, b, "mul")
+    sa, sb, shape_a, shape_b = a._slot, b._slot, a.shape, b.shape
+    ad, bd = _saved_for(sb, a), _saved_for(sa, b)
     def bwd(g):
         # a constant operand (a dropout or padding mask) gets no product
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
-    return _node(a.data * b.data, (a, b), bwd)
+        if sa is not None:
+            _accum(sa, _unbroadcast(g * bd, shape_a), owned=True)
+        if sb is not None:
+            _accum(sb, _unbroadcast(g * ad, shape_b), owned=True)
+    return _node(a.data * b.data, (sa, sb), bwd)
 
 
 def scale(a, s):
+    sa = a._slot
     def bwd(g):
-        _accum(a, g * s, owned=True)
-    return _node(a.data * s, (a,), bwd)
+        _accum(sa, g * s, owned=True)
+    return _node(a.data * s, (sa,), bwd)
 
 
 def matmul(a, b):
     if a.cols != b.rows:
         raise ShapeError(f"matmul: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    sa, sb = a._slot, b._slot
+    ad, bd = _saved_for(sb, a), _saved_for(sa, b)
     def bwd(g):
         # a constant operand (a frozen weight) gets no product
-        if a.requires_grad:
-            _accum(a, g @ b.data.T, owned=True)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g, owned=True)
-    return _node(a.data @ b.data, (a, b), bwd)
+        if sa is not None:
+            _accum(sa, g @ bd.T, owned=True)
+        if sb is not None:
+            _accum(sb, ad.T @ g, owned=True)
+    return _node(a.data @ b.data, (sa, sb), bwd)
 
 
 def transpose(a):
+    sa = a._slot
     def bwd(g):
-        _accum(a, g.T)
-    return _node(a.data.T, (a,), bwd)
+        _accum(sa, g.T)
+    return _node(a.data.T, (sa,), bwd)
 
 
 def batch_transpose(a, blocks):
@@ -275,12 +353,11 @@ def batch_transpose(a, blocks):
     """
     if a.rows % blocks != 0:
         raise ShapeError(f"batch_transpose: {a.rows} rows not divisible by {blocks} blocks")
-    r = a.rows // blocks
-    c = a.cols
+    sa, r, c = a._slot, a.rows // blocks, a.cols
     out = a.data.reshape(blocks, r, c).transpose(0, 2, 1).reshape(blocks * c, r)
     def bwd(g):
-        _accum(a, g.reshape(blocks, c, r).transpose(0, 2, 1).reshape(blocks * r, c))
-    return _node(out, (a,), bwd)
+        _accum(sa, g.reshape(blocks, c, r).transpose(0, 2, 1).reshape(blocks * r, c))
+    return _node(out, (sa,), bwd)
 
 
 def take_rows(a, indices):
@@ -288,70 +365,75 @@ def take_rows(a, indices):
     idx = np.asarray(indices, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
         raise LookupError(f"row index out of range [0, {a.rows}) : {int(idx.min())}..{int(idx.max())}")
+    sa, shape = a._slot, a.shape
     def bwd(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, g)
-            _accum(a, buf, owned=True)
-    return _node(a.data[idx], (a,), bwd)
+        buf = np.zeros(shape)
+        np.add.at(buf, idx, g)
+        _accum(sa, buf, owned=True)
+    return _node(a.data[idx], (sa,), bwd)
 
 
 def repeat_rows(a, times):
     """Repeat each row ``times`` consecutive times."""
+    sa, rows, cols = a._slot, a.rows, a.cols
     def bwd(g):
-        _accum(a, g.reshape(a.rows, times, a.cols).sum(axis=1), owned=True)
-    return _node(np.repeat(a.data, times, axis=0), (a,), bwd)
+        _accum(sa, g.reshape(rows, times, cols).sum(axis=1), owned=True)
+    return _node(np.repeat(a.data, times, axis=0), (sa,), bwd)
 
 
 def concat_cols(a, b):
     if a.rows != b.rows:
         raise ShapeError(f"concat_cols: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
-    ca = a.cols
+    sa, sb, ca = a._slot, b._slot, a.cols
     def bwd(g):
-        _accum(a, g[:, :ca])
-        _accum(b, g[:, ca:])
-    return _node(np.concatenate([a.data, b.data], axis=1), (a, b), bwd)
+        _accum(sa, g[:, :ca])
+        _accum(sb, g[:, ca:])
+    return _node(np.concatenate([a.data, b.data], axis=1), (sa, sb), bwd)
 
 
 def slice_cols(a, start, stop):
+    sa, shape = a._slot, a.shape
     def bwd(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            buf[:, start:stop] = g
-            _accum(a, buf, owned=True)
-    return _node(a.data[:, start:stop].copy(), (a,), bwd)
+        buf = np.zeros(shape)
+        buf[:, start:stop] = g
+        _accum(sa, buf, owned=True)
+    return _node(a.data[:, start:stop].copy(), (sa,), bwd)
 
 
 def row_dot(a, b):
     """Per-row dot product: (n x c, n x c) -> n x 1."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"row_dot: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
+    sa, sb = a._slot, b._slot
+    ad, bd = _saved_for(sb, a), _saved_for(sa, b)
     def bwd(g):
-        if a.requires_grad:
-            _accum(a, g * b.data, owned=True)
-        if b.requires_grad:
-            _accum(b, g * a.data, owned=True)
-    return _node((a.data * b.data).sum(axis=1, keepdims=True), (a, b), bwd)
+        if sa is not None:
+            _accum(sa, g * bd, owned=True)
+        if sb is not None:
+            _accum(sb, g * ad, owned=True)
+    return _node((a.data * b.data).sum(axis=1, keepdims=True), (sa, sb), bwd)
 
 
 def sum_all(a):
+    sa, shape = a._slot, a.shape
     def bwd(g):
-        _accum(a, np.full_like(a.data, g[0, 0]), owned=True)
-    return _node(np.array([[a.data.sum()]]), (a,), bwd)
+        _accum(sa, np.full(shape, g[0, 0]), owned=True)
+    return _node(np.array([[a.data.sum()]]), (sa,), bwd)
 
 
 def sum_cols(a):
     """Row-wise sum: n x c -> n x 1."""
+    sa, shape = a._slot, a.shape
     def bwd(g):
-        _accum(a, np.broadcast_to(g, a.data.shape))
-    return _node(a.data.sum(axis=1, keepdims=True), (a,), bwd)
+        _accum(sa, np.broadcast_to(g, shape))
+    return _node(a.data.sum(axis=1, keepdims=True), (sa,), bwd)
 
 
 def mean_all(a):
-    n = a.data.size
+    sa, shape, n = a._slot, a.shape, a.data.size
     def bwd(g):
-        _accum(a, np.full_like(a.data, g[0, 0] / n), owned=True)
-    return _node(np.array([[a.data.mean()]]), (a,), bwd)
+        _accum(sa, np.full(shape, g[0, 0] / n), owned=True)
+    return _node(np.array([[a.data.mean()]]), (sa,), bwd)
 
 
 def _chunks(n):
@@ -385,47 +467,50 @@ def gelu(a):
     Bit for bit ``x * (0.5 * (1 + scipy.special.erf(x / sqrt(2))))``: where
     |x| <= sqrt(2) scipy's own polynomial runs in numpy (``_erf_small``), a
     cache-sized chunk at a time; the rest, with NaN and +-inf, calls scipy.
+    On a taped input the same chunk pass also computes the derivative
+    ``Phi(x) + x * phi(x)``, and that is all the node saves: neither the
+    input nor the output stays on the tape.
     """
-    x = a.data
+    x, sa = a.data, a._slot
     xf = x.reshape(-1)
-    cdf = np.empty_like(x)
     out = np.empty_like(x)
-    cf, of = cdf.reshape(-1), out.reshape(-1)
+    of = out.reshape(-1)
+    deriv = None if sa is None else np.empty_like(x)
     n = min(xf.size, _CHUNK)
-    u, z, q = np.empty(n), np.empty(n), np.empty(n)
+    u, z, q, cdf = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     for sl in _chunks(xf.size):
         m = sl.stop - sl.start
-        uc, zc, qc, ec = u[:m], z[:m], q[:m], cf[sl]
-        np.multiply(xf[sl], _INV_SQRT2, out=uc)
+        xc, uc, zc, qc, ec = xf[sl], u[:m], z[:m], q[:m], cdf[:m]
+        np.multiply(xc, _INV_SQRT2, out=uc)
         np.multiply(uc, uc, out=zc)
         _erf_small(uc, zc, ec, qc)
         far = np.flatnonzero(~(zc <= 1.0))  # NaN included
         ec[far] = erf(uc[far])
         ec += 1.0
         ec *= 0.5
-        np.multiply(xf[sl], ec, out=of[sl])
-
-    def bwd(g):
-        # g * (cdf + x * (exp((-0.5 * x) * x) * 1/sqrt(2 pi))), in this order
-        d = np.empty_like(x)
-        df, gf = d.reshape(-1), g.reshape(-1)
-        for sl in _chunks(xf.size):
-            xc, dc = xf[sl], df[sl]
+        np.multiply(xc, ec, out=of[sl])
+        if deriv is not None:
+            # cdf + x * (exp((-0.5 * x) * x) * 1/sqrt(2 pi)), in this order
+            dc = deriv.reshape(-1)[sl]
             np.multiply(xc, -0.5, out=dc)
             dc *= xc
             np.exp(dc, out=dc)
             dc *= _INV_SQRT2PI
             dc *= xc
-            dc += cf[sl]
-            dc *= gf[sl]
-        _accum(a, d, owned=True)
-    return _node(out, (a,), bwd)
+            dc += ec
+
+    def bwd(g):
+        np.multiply(deriv, g, out=deriv)  # used once: the gradient takes its place
+        _accum(sa, deriv, owned=True)
+    return _node(out, (sa,), bwd)
 
 
 def relu(a):
+    sa = a._slot
+    positive = None if sa is None else a.data > 0
     def bwd(g):
-        _accum(a, g * (a.data > 0), owned=True)
-    return _node(np.maximum(a.data, 0.0), (a,), bwd)
+        _accum(sa, g * positive, owned=True)
+    return _node(np.maximum(a.data, 0.0), (sa,), bwd)
 
 
 def sigmoid_values(x):
@@ -440,30 +525,33 @@ def sigmoid_values(x):
 
 def softplus(a):
     """log(1 + e^x), overflow-free for any float64 input."""
-    x = a.data
+    x, sa = a.data, a._slot
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
     def bwd(g):
-        _accum(a, g * sigmoid_values(x), owned=True)
-    return _node(out, (a,), bwd)
+        _accum(sa, g * sigmoid_values(x), owned=True)
+    return _node(out, (sa,), bwd)
 
 
 def softmax(a):
     """Row-wise stable softmax; rows sum to 1."""
     if a.data.size == 0:
         raise ValueError("softmax: empty input")
+    sa = a._slot
     shifted = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
     def bwd(g):
         dot = (g * p).sum(axis=1, keepdims=True)
-        _accum(a, p * (g - dot), owned=True)
-    return _node(p, (a,), bwd)
+        _accum(sa, p * (g - dot), owned=True)
+    return _node(p, (sa,), bwd)
 
 
 def layer_norm(x, gamma=None, beta=None, eps=1e-5):
     """Row-wise layer normalization with population (1/n) variance.
 
     ``gamma``/``beta`` are 1 x cols tensors or None for the affine-free form.
+    The node saves the normalized rows, the inverse deviations and gamma's
+    values.
     """
     if eps <= 0:
         raise ValueError(f"layer_norm: eps must be positive, got {eps}")
@@ -474,26 +562,26 @@ def layer_norm(x, gamma=None, beta=None, eps=1e-5):
     var = (d * d).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = d * inv
-    parents = [x]
-    if gamma is not None:
-        parents.append(gamma)
-    if beta is not None:
-        parents.append(beta)
+    gd = None if gamma is None else gamma.data
+    sx = x._slot
+    sg = None if gamma is None else gamma._slot
+    sb = None if beta is None else beta._slot
 
     def bwd(g):
-        gy = g * gamma.data if gamma is not None else g
-        if gamma is not None:
-            _accum(gamma, (g * y).sum(axis=0, keepdims=True), owned=True)
-        if beta is not None:
-            _accum(beta, g.sum(axis=0, keepdims=True), owned=True)
-        m1 = gy.mean(axis=1, keepdims=True)
-        m2 = (gy * y).mean(axis=1, keepdims=True)
-        _accum(x, (gy - m1 - y * m2) * inv, owned=True)
+        gy = g if gd is None else g * gd
+        if sg is not None:
+            _accum(sg, (g * y).sum(axis=0, keepdims=True), owned=True)
+        if sb is not None:
+            _accum(sb, g.sum(axis=0, keepdims=True), owned=True)
+        if sx is not None:
+            m1 = gy.mean(axis=1, keepdims=True)
+            m2 = (gy * y).mean(axis=1, keepdims=True)
+            _accum(sx, (gy - m1 - y * m2) * inv, owned=True)
 
-    out = y * gamma.data if gamma is not None else y
+    out = y if gd is None else y * gd
     if beta is not None:
         out = out + beta.data
-    return _node(out, parents, bwd)
+    return _node(out, (sx, sg, sb), bwd)
 
 
 def dropout_mask(shape, rate, rng):

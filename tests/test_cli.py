@@ -33,7 +33,7 @@ _TRAIN_OPTIONS = {"--learning-rate", "--beta1", "--beta2", "--eps-adam", "--batc
 _RUN_OPTIONS = {"--out", "--config", "--dataset"}
 COMMAND_OPTIONS = {
     "ingest": {"--input", "--format", "--delimiter", "--header", "--min-interactions",
-               "--max-len", "--out", "--config", "--seed"},
+               "--max-len", "--out", "--config"},
     "synth": {"--users", "--len", "--vocab", "--kstar", "--noise", "--max-len", "--out",
               "--config", "--seed"},
     "search": {"--K", "--arch-lr", "--search-mode"} | _MODEL_OPTIONS | _TRAIN_OPTIONS
@@ -128,6 +128,14 @@ class TestDispatchAndExitCodes:
 
     def test_unknown_flag_is_usage_error(self):
         assert cli.main(["synth", "--no-such-flag", "1", "--out", "/tmp/x"]) == 2
+
+    def test_ingest_takes_no_seed(self, tmp_path, capsys):
+        # ingest draws nothing at random, so a seed would change no output
+        (tmp_path / "log.tsv").write_text("".join(f"u{t % 2}\ti{t}\t{t}\n" for t in range(12)))
+        code = cli.main(["ingest", "--input", str(tmp_path / "log.tsv"), "--seed", "3",
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_missing_input_file_is_data_error(self, tmp_path):
         code = cli.main(["ingest", "--input", str(tmp_path / "absent.dat"),
@@ -317,7 +325,7 @@ class TestConfigResolution:
         got = self.command_options()
         assert got == COMMAND_OPTIONS
         assert {name: len(opts) for name, opts in got.items()} == {
-            "ingest": 9, "synth": 9, "search": 28, "train": 27, "eval": 8, "oracle": 26,
+            "ingest": 8, "synth": 9, "search": 28, "train": 27, "eval": 8, "oracle": 26,
             "sweep": 28, "ablate": 26, "bench": 15}
 
     def test_every_setting_a_command_resolves_is_its_flag(self):
@@ -559,6 +567,18 @@ class TestArtifacts:
                          "--search-result", str(result), "--out", str(tmp_path / "train")]
                         + FAST)
         assert code == 3
+
+    def test_k_and_a_search_result_together_are_a_usage_error(self, tmp_path, capsys):
+        # the run would train the file's window while config.resolved said k = 4
+        result = tmp_path / "search_result.json"
+        result.write_text(search_result([1, 2], 1))
+        out = tmp_path / "train"
+        code = cli.main(["train", "--dataset", str(synth(tmp_path)), "--k", "4",
+                         "--search-result", str(result), "--out", str(out)] + FAST)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--k" in err and "--search-result" in err
+        assert not any(out.glob("*"))
 
     def test_checkpoint_header_is_pinned(self, tmp_path):
         cfg = model.ModelConfig(num_items=7, max_len=5, dim=3, seq_hidden=4, ch_hidden=2,

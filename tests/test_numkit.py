@@ -1,10 +1,12 @@
 """Unit and property tests for the tensor/autodiff core."""
 
+import inspect
 import math
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
+from mixrec import model
 from mixrec import numkit as nk
 
 
@@ -441,8 +444,8 @@ class TestReleasedTape:
     """``backward`` frees each node's saved tensors once its closure has run."""
 
     def dropout_gelu_graph(self):
-        """sum(gelu(x @ w) * mask), with weakrefs to the GELU's saved cdf
-        buffer and to the dropout mask's array."""
+        """sum(gelu(x @ w) * mask), with weakrefs to the derivative the GELU
+        node saved and to the dropout mask's array."""
         rng = np.random.default_rng(4)
         x = t(rng.normal(size=(6, 4)), grad=True)
         w = t(rng.normal(size=(4, 8)), grad=True)
@@ -453,7 +456,7 @@ class TestReleasedTape:
         loss = nk.sum_all(dropped)
         saved = dict(zip(h._backward.__code__.co_freevars,
                          (cell.cell_contents for cell in h._backward.__closure__)))
-        refs = [weakref.ref(saved["cf"].base), weakref.ref(mask.data)]
+        refs = [weakref.ref(saved["deriv"]), weakref.ref(mask.data)]
         return (x, w), [pre, h, dropped, loss], refs
 
     def test_backward_frees_saved_tensors_and_parent_links(self):
@@ -480,6 +483,97 @@ class TestReleasedTape:
         with pytest.raises(RuntimeError):
             nk.backward(reused)
         assert issubclass(nk.GraphReleasedError, RuntimeError)
+
+
+class TestTapeSize:
+    """An op saves only the arrays its backward reads, never a tensor."""
+
+    def test_a_mixer_mlp_keeps_three_arrays_per_hidden_element(self, monkeypatch):
+        rows_n, dim, hidden = 1024, 32, 64
+        cfg = model.ModelConfig(num_items=5, max_len=4, dim=dim, seq_hidden=hidden,
+                                ch_hidden=hidden, layers=1, windows=(1,), dropout=0.5)
+        rng = np.random.default_rng(0)
+        rows = t(rng.normal(size=(rows_n, dim)), grad=True)
+        w_in = t(rng.normal(scale=0.2, size=(hidden, dim)), grad=True)
+        w_out = t(rng.normal(scale=0.2, size=(dim, hidden)), grad=True)
+        values = []  # weakrefs to the pre-activation and the GELU output
+        gelu = nk.gelu
+
+        def spy(a):
+            out = gelu(a)
+            values.extend([weakref.ref(a.data), weakref.ref(out.data)])
+            return out
+        monkeypatch.setattr(nk, "gelu", spy)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = model._mixer_mlp(rows, w_in, w_out, cfg, np.random.default_rng(1))
+            kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        # GELU's derivative, the float dropout mask and the masked product:
+        # 24 bytes, plus the transposed weights and the nodes themselves
+        assert kept <= 25 * rows_n * hidden
+        assert len(values) == 2 and all(ref() is None for ref in values)
+
+        up = rng.normal(size=out.shape)
+        nk.backward(nk.sum_all(nk.mul(out, t(up))))
+        # the same values and gradients, op for op, as plain numpy
+        w_in_t, w_out_t = np.ascontiguousarray(w_in.data.T), np.ascontiguousarray(w_out.data.T)
+        pre = rows.data @ w_in_t
+        h, cdf = reference_gelu(pre)
+        mask = (np.random.default_rng(1).random(pre.shape) >= 0.5) / 0.5
+        dropped = h * mask
+        assert np.array_equal(out.data, dropped @ w_out_t)
+        d_pre = reference_gelu_grad(pre, cdf, (up @ w_out_t.T) * mask)
+        assert np.array_equal(w_out.grad, (dropped.T @ up).T)
+        assert np.array_equal(w_in.grad, (rows.data.T @ d_pre).T)
+        assert np.array_equal(rows.grad, d_pre @ w_in_t.T)
+
+    # every public numkit function, as a taped op on operands of its shapes,
+    # or listed as one that records no node
+    TAPED_OPS = {
+        "add": (lambda a, b: nk.add(a, b), [(3, 4), (1, 4)]),
+        "mul": (lambda a, b: nk.mul(a, b), [(3, 4), (3, 4)]),
+        "scale": (lambda a: nk.scale(a, 2.0), [(3, 4)]),
+        "matmul": (lambda a, b: nk.matmul(a, b), [(3, 4), (4, 2)]),
+        "transpose": (lambda a: nk.transpose(a), [(3, 4)]),
+        "batch_transpose": (lambda a: nk.batch_transpose(a, 2), [(4, 3)]),
+        "take_rows": (lambda a: nk.take_rows(a, [2, 0, 2]), [(3, 4)]),
+        "repeat_rows": (lambda a: nk.repeat_rows(a, 2), [(3, 4)]),
+        "concat_cols": (lambda a, b: nk.concat_cols(a, b), [(3, 4), (3, 2)]),
+        "slice_cols": (lambda a: nk.slice_cols(a, 1, 3), [(3, 4)]),
+        "row_dot": (lambda a, b: nk.row_dot(a, b), [(3, 4), (3, 4)]),
+        "sum_all": (lambda a: nk.sum_all(a), [(3, 4)]),
+        "sum_cols": (lambda a: nk.sum_cols(a), [(3, 4)]),
+        "mean_all": (lambda a: nk.mean_all(a), [(3, 4)]),
+        "gelu": (lambda a: nk.gelu(a), [(3, 4)]),
+        "relu": (lambda a: nk.relu(a), [(3, 4)]),
+        "softplus": (lambda a: nk.softplus(a), [(3, 4)]),
+        "softmax": (lambda a: nk.softmax(a), [(3, 4)]),
+        "layer_norm": (lambda a, g, b: nk.layer_norm(a, g, b), [(3, 4), (1, 4), (1, 4)]),
+    }
+    NOT_OPS = {"backward", "grad_check", "dropout_mask", "sigmoid_values"}
+
+    def test_every_public_function_is_listed(self):
+        public = {name for name, f in vars(nk).items()
+                  if inspect.isfunction(f) and f.__module__ == nk.__name__
+                  and not name.startswith("_")}
+        assert public == set(self.TAPED_OPS) | self.NOT_OPS
+
+    @pytest.mark.parametrize("name", sorted(TAPED_OPS))
+    def test_no_backward_closure_holds_a_tensor(self, name):
+        op, shapes = self.TAPED_OPS[name]
+        rng = np.random.default_rng(0)
+        # every operand taped, then each one constant in turn
+        for constant in [None] + list(range(len(shapes)) if len(shapes) > 1 else []):
+            operands = [t(rng.normal(size=shape), grad=i != constant)
+                        for i, shape in enumerate(shapes)]
+            out = op(*operands)
+            assert out._backward is not None, name
+            held = [cell.cell_contents for cell in out._backward.__closure__ or ()]
+            assert not any(isinstance(v, nk.Tensor2) for v in held), name
+            assert all(type(p) is nk._Slot for p in out._parents), name
 
 
 class TestGradCheckHarness:

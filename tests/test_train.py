@@ -220,12 +220,12 @@ class TestReleasedTape:
 
 def closed_form_gelu(a):
     """Exact GELU as one unchunked expression per pass, with plain buffers."""
-    x = a.data
+    x, slot = a.data, a._slot
     cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
     def bwd(g):
         pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
-        nk._accum(a, g * (cdf + x * pdf))
-    return nk._node(x * cdf, (a,), bwd)
+        nk._accum(slot, g * (cdf + x * pdf))
+    return nk._node(x * cdf, (slot,), bwd)
 
 
 def test_gelu_fit_matches_the_closed_form_op_bit_for_bit(monkeypatch):
