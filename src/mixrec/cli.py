@@ -11,6 +11,9 @@ rest. A key's type is the type of its default, and key ``foo_bar`` is the
 flag ``--foo-bar`` on each command that names it.
 
 Exit codes: 0 success, 2 usage error, 3 data/I-O error, 4 numerical error.
+Each code follows from the type of the error raised where the input is checked
+(``UsageError`` 2, ``DataError`` or ``OSError`` 3, ``NumericalError`` 4);
+``main`` maps types to codes and nothing else translates an error.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numkit as nk
-from .data import (DataError, ParseFormat, SequenceDataset, build_sequences,
+from .data import (DataError, ParseFormat, SequenceDataset, UsageError, build_sequences,
                    filter_users, parse_interactions, synthesize_log)
 from .evaluate import evaluate_split
 from .model import ModelConfig, forward_hidden, init_params, load_checkpoint, save_checkpoint
@@ -59,10 +62,6 @@ MODEL_FLAGS = tuple(f.name for f in fields(ModelConfig) if f.name not in ("num_i
 TRAIN_FLAGS = tuple(f.name for f in fields(TrainConfig))
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _coerce(key, value):
     kind = type(DEFAULTS[key])
     if kind is bool:
@@ -81,8 +80,12 @@ def _coerce(key, value):
 
 def read_config_file(path):
     """Plain-text ``key = value`` pairs; ``#`` starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -122,25 +125,18 @@ def _parse_windows(text):
     return windows
 
 
-def _config(cls, label, cfg, **given):
+def _config(cls, cfg, **given):
     """``cls`` built from the resolved settings; ``given`` supplies the rest."""
-    try:
-        return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name not in given}, **given)
-    except ValueError as exc:
-        raise UsageError(f"{label} config: {exc}") from None
+    return cls(**{f.name: cfg[f.name] for f in fields(cls) if f.name not in given}, **given)
 
 
 def _model_config(cfg, num_items, windows):
-    return _config(ModelConfig, "model", cfg, num_items=num_items, windows=windows)
-
-
-def _train_config(cfg):
-    return _config(TrainConfig, "train", cfg)
+    return _config(ModelConfig, cfg, num_items=num_items, windows=windows)
 
 
 def _search_config(cfg, windows):
-    return _config(SearchConfig, "search", cfg, windows=windows, mode=cfg["search_mode"],
-                   train=_train_config(cfg))
+    return _config(SearchConfig, cfg, windows=windows, mode=cfg["search_mode"],
+                   train=_config(TrainConfig, cfg))
 
 
 def _parse_format(cfg):
@@ -148,24 +144,12 @@ def _parse_format(cfg):
         return ParseFormat.movielens_1m()
     if cfg["format"] != "generic":
         raise UsageError(f"unknown format {cfg['format']!r}; expected generic or movielens")
-    try:
-        return ParseFormat(delimiter=cfg["delimiter"], header=cfg["header"])
-    except ValueError as exc:  # empty delimiter
-        raise UsageError(str(exc)) from None
-
-
-def _build_sequences(log, max_len):
-    try:
-        return build_sequences(log, max_len)
-    except ValueError as exc:  # max_len below 2
-        raise UsageError(str(exc)) from None
+    return ParseFormat(delimiter=cfg["delimiter"], header=cfg["header"])
 
 
 def _load_dataset(path, cfg):
     """The dataset at ``path``; its padded length becomes ``cfg``'s, so the
     archived config holds the length that ran."""
-    if not Path(path).exists():
-        raise DataError(f"dataset file not found: {path}")
     dataset = SequenceDataset.load(path)
     cfg["max_len"] = dataset.max_len
     return dataset
@@ -178,14 +162,9 @@ def _load_dataset(path, cfg):
 
 
 def cmd_ingest(args, cfg, out):
-    if not Path(args.input).exists():
-        raise DataError(f"input file not found: {args.input}")
-    log = parse_interactions(args.input, _parse_format(cfg))
-    try:
-        log = filter_users(log, cfg["min_interactions"])
-    except ValueError as exc:  # min_interactions below 1
-        raise UsageError(str(exc)) from None
-    dataset = _build_sequences(log, cfg["max_len"])
+    log = filter_users(parse_interactions(args.input, _parse_format(cfg)),
+                       cfg["min_interactions"])
+    dataset = build_sequences(log, cfg["max_len"])
     dataset.save(out / "dataset.jsonl")
     summary = {"events": len(log.events), "users": log.num_users,
                "items": log.num_items, "examples": len(dataset.examples)}
@@ -195,12 +174,9 @@ def cmd_ingest(args, cfg, out):
 
 def cmd_synth(args, cfg, out):
     rng = np.random.default_rng(cfg["seed"])
-    try:
-        log = synthesize_log(cfg["users"], cfg["len"], cfg["vocab"], cfg["kstar"],
-                             cfg["noise"], rng)
-    except ValueError as exc:  # kstar, vocab or noise out of range
-        raise UsageError(str(exc)) from None
-    dataset = _build_sequences(log, cfg["max_len"])
+    log = synthesize_log(cfg["users"], cfg["len"], cfg["vocab"], cfg["kstar"],
+                         cfg["noise"], rng)
+    dataset = build_sequences(log, cfg["max_len"])
     dataset.save(out / "dataset.jsonl")
     print(json.dumps({"users": log.num_users, "items": log.num_items,
                       "examples": len(dataset.examples)}, sort_keys=True))
@@ -222,13 +198,7 @@ def _resolve_fixed_window(args, cfg):
     if args.search_result:
         if cfg["k"] > 0:  # the archived k would not be the window that ran
             raise UsageError("give --k or --search-result, not both")
-        path = Path(args.search_result)
-        if not path.exists():
-            raise DataError(f"search result not found: {path}")
-        try:
-            return SearchResult.from_json(path.read_text()).selected_k
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: malformed search result: {exc!r}") from None
+        return SearchResult.load(args.search_result).selected_k
     if cfg["k"] <= 0:
         raise UsageError("train needs --k WINDOW or --search-result FILE")
     return cfg["k"]
@@ -239,7 +209,7 @@ def cmd_train(args, cfg, out):
     window = _resolve_fixed_window(args, cfg)
     model_cfg = _model_config(cfg, dataset.num_items, (window,))
     params = init_params(model_cfg, np.random.default_rng(cfg["seed"]))
-    result = fit(dataset, params, model_cfg, _train_config(cfg))
+    result = fit(dataset, params, model_cfg, _config(TrainConfig, cfg))
     save_checkpoint(out / "checkpoint.bin", params, model_cfg)
     write_trace(out / "train_trace.jsonl", result.trace)
     print(json.dumps({"k": window, "best_epoch": result.best_epoch,
@@ -249,8 +219,6 @@ def cmd_train(args, cfg, out):
 
 def cmd_eval(args, cfg, out):
     dataset = _load_dataset(args.dataset, cfg)
-    if not Path(args.checkpoint).exists():
-        raise DataError(f"checkpoint not found: {args.checkpoint}")
     params, model_cfg = load_checkpoint(args.checkpoint)
     if model_cfg.max_len != dataset.max_len:
         raise DataError(
@@ -264,7 +232,7 @@ def cmd_eval(args, cfg, out):
         raise DataError(
             f"checkpoint holds {len(model_cfg.windows)} candidate windows "
             f"{list(model_cfg.windows)}; eval needs a fixed-window model")
-    settings = _train_config(cfg)  # the eval settings are train settings too
+    settings = _config(TrainConfig, cfg)  # the eval settings are train settings too
     metrics = evaluate_split(params, model_cfg, dataset, args.split,
                              num_negatives=settings.eval_negatives,
                              cutoff=settings.eval_cutoff, seed=settings.seed)
@@ -278,7 +246,7 @@ def _fit_and_rank_test(dataset, run):
     test split; returns the validation and test metrics."""
     window = run["k"] if run["k"] > 0 else _parse_windows(run["K"])[0]
     model_cfg = _model_config(run, dataset.num_items, (window,))
-    train_cfg = _train_config(run)
+    train_cfg = _config(TrainConfig, run)
     params = init_params(model_cfg, np.random.default_rng(train_cfg.seed))
     result = fit(dataset, params, model_cfg, train_cfg)
     test = evaluate_split(params, model_cfg, dataset, "test",

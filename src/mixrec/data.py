@@ -20,6 +20,10 @@ import numpy as np
 PAD = 0  # reserved item index, never assigned to a real item
 
 
+class UsageError(ValueError):
+    """A setting is out of range or unknown; the command line exits 2."""
+
+
 class DataError(RuntimeError):
     """Input data cannot support the requested operation."""
 
@@ -44,7 +48,7 @@ class ParseFormat:
 
     def __post_init__(self):
         if not self.delimiter:
-            raise ValueError("delimiter must not be empty")
+            raise UsageError("delimiter must not be empty")
 
     @classmethod
     def movielens_1m(cls):
@@ -81,13 +85,17 @@ def parse_interactions(source, fmt=None):
     col = {name: i for i, name in enumerate(fmt.columns)}
     for required in ("user", "item", "timestamp"):
         if required not in col:
-            raise ValueError(f"format is missing a {required!r} column")
+            raise UsageError(f"format is missing a {required!r} column")
     ncols = len(fmt.columns)
 
     events = []
     for lineno, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}",
+                                 lineno) from None
         line = raw.rstrip("\r\n")
         if fmt.header and lineno == 1:
             continue
@@ -107,7 +115,7 @@ def parse_interactions(source, fmt=None):
 def filter_users(log, min_interactions):
     """Keep users with at least ``min_interactions`` events; reindex survivors."""
     if min_interactions < 1:
-        raise ValueError(f"min_interactions must be >= 1, got {min_interactions}")
+        raise UsageError(f"min_interactions must be >= 1, got {min_interactions}")
     counts = {}
     for user, _, _, _ in log.events:
         counts[user] = counts.get(user, 0) + 1
@@ -262,7 +270,7 @@ def _dataset_from_sequences(sequences, max_len, num_items, item_counts):
 def build_sequences(log, max_len):
     """Chronological leave-one-out split with left-padded fixed-length inputs."""
     if max_len < 2:
-        raise ValueError(f"max_len must be >= 2, got {max_len}")
+        raise UsageError(f"max_len must be >= 2, got {max_len}")
     ui, ii = log.user_index, log.item_index
     users = np.array([ui[ev[0]] for ev in log.events], dtype=np.intp)
     items = np.array([ii[ev[1]] for ev in log.events], dtype=np.intp)
@@ -393,11 +401,11 @@ def synthesize_log(num_users, seq_len, vocab, k_star, noise_rate, rng):
     checked directly on indexed sequences.
     """
     if not 1 <= k_star < seq_len:
-        raise ValueError(f"k_star must be in [1, seq_len), got {k_star}")
+        raise UsageError(f"k_star must be in [1, seq_len), got {k_star}")
     if vocab < 4:
-        raise ValueError(f"vocab must be >= 4, got {vocab}")
+        raise UsageError(f"vocab must be >= 4, got {vocab}")
     if not 0.0 <= noise_rate < 1.0:
-        raise ValueError(f"noise_rate must be in [0, 1), got {noise_rate}")
+        raise UsageError(f"noise_rate must be in [0, 1), got {noise_rate}")
 
     events = []
     for u in range(1, num_users + 1):

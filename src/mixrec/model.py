@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import numkit as nk
-from .data import PAD, DataError
+from .data import PAD, DataError, UsageError
 
 CHECKPOINT_MAGIC = b"MIXREC-CKPT"
 CHECKPOINT_VERSION = 1
@@ -54,22 +54,22 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("dim", "seq_hidden", "ch_hidden", "layers"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
         self.windows = tuple(int(k) for k in self.windows)
         if not self.windows:
-            raise ValueError("at least one short-term window is required")
+            raise UsageError("at least one short-term window is required")
         if self.windows[0] < 1:
-            raise ValueError(f"windows must be >= 1, got {self.windows}")
+            raise UsageError(f"windows must be >= 1, got {self.windows}")
         if any(b <= a for a, b in zip(self.windows, self.windows[1:])):
-            raise ValueError(f"windows must be strictly increasing, got {self.windows}")
+            raise UsageError(f"windows must be strictly increasing, got {self.windows}")
         if self.windows[-1] >= self.max_len:
-            raise ValueError(f"windows must be < max_len={self.max_len}, got {self.windows}")
+            raise UsageError(f"windows must be < max_len={self.max_len}, got {self.windows}")
         if not 0.0 <= self.dropout < 1.0:  # NaN fails too
-            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+            raise UsageError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.activation not in ("gelu", "relu"):
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise UsageError(f"unknown activation {self.activation!r}")
         if self.norm_axis not in ("channel", "sequence"):
-            raise ValueError(f"unknown norm_axis {self.norm_axis!r}")
+            raise UsageError(f"unknown norm_axis {self.norm_axis!r}")
 
 
 @dataclass

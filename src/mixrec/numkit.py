@@ -105,16 +105,14 @@ class _Slot:
 
     It holds the gradient buffer, the slots of the taped operands
     (``parents``) and the closure that sends this node's gradient to them
-    (``backward``; None on a leaf). ``shape`` sizes a leaf's reset. A slot
-    never refers to a ``Tensor2``, so the tape keeps only what the closures
-    saved, and an op's output value is freed as soon as the forward code
-    drops it.
+    (``backward``; None on a leaf). A slot never refers to a ``Tensor2``,
+    so the tape keeps only what the closures saved, and an op's output
+    value is freed as soon as the forward code drops it.
     """
 
-    __slots__ = ("shape", "grad", "parents", "backward")
+    __slots__ = ("grad", "parents", "backward")
 
-    def __init__(self, shape, grad, parents=(), backward=None):
-        self.shape = shape
+    def __init__(self, grad, parents=(), backward=None):
         self.grad = grad
         self.parents = parents
         self.backward = backward
@@ -140,7 +138,7 @@ class Tensor2:
         if arr.ndim != 2:
             raise ShapeError(f"Tensor2 requires 2-D data, got ndim={arr.ndim}")
         self.data = arr
-        self._slot = _Slot(arr.shape, np.zeros_like(arr)) if requires_grad else None
+        self._slot = _Slot(np.zeros_like(arr)) if requires_grad else None
 
     @property
     def requires_grad(self):
@@ -201,7 +199,7 @@ def _node(data, operands, backward_fn):
     out = Tensor2(data)
     parents = tuple(s for s in operands if s is not None)
     if parents:
-        out._slot = _Slot(out.data.shape, None, parents, backward_fn)
+        out._slot = _Slot(None, parents, backward_fn)
     return out
 
 
@@ -226,10 +224,11 @@ def _accum(slot, g, owned=False):
 def backward(root):
     """Reverse-replay the graph below ``root`` into its leaves' gradients.
 
-    Each leaf the graph reaches is reset to zeros before the first closure
-    runs, so it ends up holding d root / d leaf alone; a leaf the graph does
-    not reach keeps its buffer. A constant ``root`` has no graph and reaches
-    no leaf.
+    Each leaf the graph reaches drops its buffer (``grad`` None) before the
+    first closure runs, so, like an interior slot, it takes its first
+    contribution as its buffer (see ``_accum``) and ends up holding
+    d root / d leaf alone; a leaf the graph does not reach keeps its buffer.
+    A constant ``root`` has no graph and reaches no leaf.
 
     Each interior slot is released as soon as its closure has run: the
     closure, with the arrays it saved, and the links to its parents are
@@ -259,10 +258,8 @@ def backward(root):
                 stack.append((parent, False))
     for node in topo:
         if node.backward is None:  # a leaf
-            node.grad = np.zeros(node.shape)
-    if top.grad is None:
-        top.grad = np.zeros(top.shape)
-    top.grad += 1.0
+            node.grad = None
+    top.grad = np.ones(root.data.shape)
     while topo:
         node = topo.pop()
         if node.backward is not None:

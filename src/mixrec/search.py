@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import numkit as nk
-from .data import DataError, PopularityDist
+from .data import DataError, PopularityDist, UsageError
 from .model import init_arch, init_params
 from .train import (AdamState, TrainConfig, adam_update, batch_loss, fit, make_batches,
                     train_step)
@@ -39,13 +39,13 @@ class SearchConfig:
     def __post_init__(self):
         self.windows = tuple(int(k) for k in self.windows)
         if not self.windows:
-            raise ValueError("search needs at least one candidate window")
+            raise UsageError("search needs at least one candidate window")
         if any(b <= a for a, b in zip(self.windows, self.windows[1:])):
-            raise ValueError(f"windows must be strictly increasing, got {self.windows}")
+            raise UsageError(f"windows must be strictly increasing, got {self.windows}")
         if self.mode not in ("first_order", "one_step_unrolled"):
-            raise ValueError(f"unknown search mode {self.mode!r}")
+            raise UsageError(f"unknown search mode {self.mode!r}")
         if not (self.arch_lr >= 0 and math.isfinite(self.arch_lr)):  # NaN fails too
-            raise ValueError(f"arch_lr must be finite and >= 0, got {self.arch_lr}")
+            raise UsageError(f"arch_lr must be finite and >= 0, got {self.arch_lr}")
 
 
 @dataclass
@@ -62,17 +62,25 @@ class SearchResult:
         return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text):
-        """Parse a saved result: each window and ``selected_k`` must be a
-        JSON integer >= 1, and ``selected_k`` one of the windows."""
-        d = json.loads(text)
-        windows, k = tuple(d["windows"]), d["selected_k"]
-        for w in windows + (k,):
-            if type(w) is not int or w < 1:  # a JSON true or 2.0 is no window
-                raise ValueError(f"window {w!r} is not an integer >= 1")
-        if k not in windows:
-            raise ValueError(f"selected_k {k} is not one of the windows {list(windows)}")
-        return cls(**dict(d, windows=windows))
+    def load(cls, path):
+        """Read a saved result: each window and ``selected_k`` must be a
+        JSON integer >= 1, and ``selected_k`` one of the windows. A malformed
+        file raises ``DataError`` naming ``path``."""
+        with open(path, "rb") as fh:  # bytes, so a non-UTF-8 file fails in json.loads
+            raw = fh.read()
+        # a truncated or corrupt file surfaces as a JSON, key, type or decode error
+        try:
+            d = json.loads(raw)
+            windows, k = tuple(d["windows"]), d["selected_k"]
+            for w in windows + (k,):
+                if type(w) is not int or w < 1:  # a JSON true or 2.0 is no window
+                    raise DataError(f"{path}: window {w!r} is not an integer >= 1")
+            if k not in windows:
+                raise DataError(f"{path}: selected_k {k} is not one of the "
+                                f"windows {list(windows)}")
+            return cls(**dict(d, windows=windows))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed search result: {exc!r}") from None
 
 
 def _backprop_loss(batch, params, alpha, model_cfg, rng):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evaluate, numkit as nk
-from .data import PAD, DataError, PopularityDist, SamplingError, history_mask
+from .data import PAD, DataError, PopularityDist, SamplingError, UsageError, history_mask
 from .model import forward_hidden, score_items
 
 
@@ -33,17 +33,17 @@ class TrainConfig:
         for name in ("learning_rate", "weight_decay"):
             value = getattr(self, name)
             if not (value >= 0 and math.isfinite(value)):  # NaN fails too
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+                raise UsageError(f"{name} must be finite and >= 0, got {value}")
         if not (self.eps_adam > 0 and math.isfinite(self.eps_adam)):
-            raise ValueError(f"eps_adam must be finite and > 0, got {self.eps_adam}")
+            raise UsageError(f"eps_adam must be finite and > 0, got {self.eps_adam}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
+            raise UsageError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
+        # with no negative every rank is 1 and every metric 1.0, and with
+        # cutoff 0 every metric is 0: either way early stopping never improves
         for name in ("batch_size", "max_epochs", "patience", "negatives_per_positive",
-                     "eval_cutoff"):
+                     "eval_negatives", "eval_cutoff"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.eval_negatives < 0:
-            raise ValueError(f"eval_negatives must be >= 0, got {self.eval_negatives}")
+                raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 class AdamState:

@@ -1,6 +1,7 @@
 """Command-line behavior: dispatch, config precedence, exit codes, artifacts."""
 
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -216,6 +217,9 @@ class TestDispatchAndExitCodes:
         ("train", "seed = -1\n", []),
         ("eval", "", ["--seed", "-1"]),
         ("bench", "", ["--seed", "-1"]),
+        ("train", "", ["--eval-negatives", "0"]),
+        ("eval", "", ["--eval-negatives", "0"]),
+        ("eval", "eval_negatives = 0\n", []),  # train's FAST flags would override it
     ], ids=["int-in-file", "float-in-file", "window-past-max-len", "dim-0", "layers-0",
             "batch-size-0", "negatives-per-positive--1", "eval-negatives--1", "max-epochs-0",
             "negatives-per-positive-0-in-file", "eval-eval-negatives--1", "bench-reps-0",
@@ -224,7 +228,8 @@ class TestDispatchAndExitCodes:
             "dropout-nan", "learning-rate-nan", "learning-rate-inf", "weight-decay-nan",
             "weight-decay-inf", "eps-adam-inf", "eps-adam-inf-in-file", "weight-decay--1",
             "eps-adam-0-in-file", "seed--1", "seed--1-in-file", "eval-seed--1",
-            "bench-seed--1"])
+            "bench-seed--1", "eval-negatives-0", "eval-eval-negatives-0",
+            "eval-eval-negatives-0-in-file"])
     def test_bad_config_value_is_usage_error(self, tmp_path, command, conf, flags):
         (tmp_path / "run.conf").write_text(conf)
         if command == "bench":
@@ -287,6 +292,28 @@ class TestDispatchAndExitCodes:
         capsys.readouterr()
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
+
+    def test_a_config_file_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"users = 11\nvocab = 3\xe9\n")
+        code = cli.main(["synth", "--config", str(conf), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert str(conf) in capsys.readouterr().err
+
+    def test_a_log_line_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys):
+        log = tmp_path / "log.tsv"
+        log.write_bytes(b"u1\ti1\t1\nu1\ti\xff\t2\n")
+        code = cli.main(["ingest", "--input", str(log), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "line 2" in capsys.readouterr().err
+
+    def test_only_main_and_the_cli_text_parsers_catch_exceptions(self):
+        # a library check raises the typed error itself; the CLI maps types
+        # to exit codes in main and translates nothing on the way
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        catching = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                    for node in ast.walk(fn) if isinstance(node, ast.ExceptHandler)}
+        assert catching == {"main", "_coerce", "_parse_windows", "read_config_file"}
 
     def test_python_dash_m_runs_the_cli(self):
         src = str(Path(mixrec.__file__).resolve().parents[1])
@@ -559,14 +586,16 @@ class TestArtifacts:
         pytest.param(search_result([1, 2], [2]), id="k-a-list"),
         pytest.param(search_result([1, 2.5], 1), id="window-2.5"),
         pytest.param(search_result([True, 2], 2), id="window-true"),
+        pytest.param(b'{"windows": [1, 2], "selected_k": 1\xff}\n', id="not-utf8"),
     ])
-    def test_a_malformed_search_result_is_a_data_error(self, tmp_path, text):
+    def test_a_malformed_search_result_is_a_data_error(self, tmp_path, capsys, text):
         result = tmp_path / "search_result.json"
-        result.write_text(text)
+        result.write_bytes(text if isinstance(text, bytes) else text.encode())
         code = cli.main(["train", "--dataset", str(synth(tmp_path)),
                          "--search-result", str(result), "--out", str(tmp_path / "train")]
                         + FAST)
         assert code == 3
+        assert str(result) in capsys.readouterr().err
 
     def test_k_and_a_search_result_together_are_a_usage_error(self, tmp_path, capsys):
         # the run would train the file's window while config.resolved said k = 4
@@ -594,6 +623,16 @@ class TestArtifacts:
         magic, head, payload = checkpoint.read_bytes().split(b"\n", 2)
         header = json.loads(head)
         del header["config"]["norm_axis"]
+        checkpoint.write_bytes(
+            magic + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        assert self.evaluate(tmp_path, dataset, checkpoint, "eval")[0] == 3
+
+    def test_a_header_with_a_bad_config_value_is_a_data_error(self, tmp_path):
+        # ModelConfig refuses the value as a setting, but in a checkpoint it is data
+        dataset, checkpoint = self.trained(tmp_path)
+        magic, head, payload = checkpoint.read_bytes().split(b"\n", 2)
+        header = json.loads(head)
+        header["config"]["dropout"] = 1.5
         checkpoint.write_bytes(
             magic + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
         assert self.evaluate(tmp_path, dataset, checkpoint, "eval")[0] == 3

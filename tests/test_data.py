@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixrec import data as d
+from mixrec import model as m
+from mixrec import search as se
 from mixrec import train as tr
 
 
@@ -521,3 +523,46 @@ class TestSyntheticLog:
             d.synthesize_log(1, 5, 3, 1, 0.0, rng)
         with pytest.raises(ValueError):
             d.synthesize_log(1, 5, 10, 1, 1.0, rng)
+
+
+def _log():
+    return log_from_rows([("u", "a", 1), ("u", "b", 2), ("u", "c", 3)])
+
+
+# (the function whose check refuses the setting, a call with the bad setting)
+SETTING_CHECKS = {
+    "model-dim-0": ("__post_init__", lambda: m.ModelConfig(10, 5, dim=0)),
+    "model-no-window": ("__post_init__", lambda: m.ModelConfig(10, 5, windows=())),
+    "model-window-0": ("__post_init__", lambda: m.ModelConfig(10, 5, windows=(0, 1))),
+    "model-windows-decreasing": ("__post_init__", lambda: m.ModelConfig(10, 5, windows=(2, 1))),
+    "model-window-at-max-len": ("__post_init__", lambda: m.ModelConfig(10, 5, windows=(5,))),
+    "model-dropout-1.5": ("__post_init__", lambda: m.ModelConfig(10, 5, dropout=1.5)),
+    "model-activation": ("__post_init__", lambda: m.ModelConfig(10, 5, activation="tanh")),
+    "model-norm-axis": ("__post_init__", lambda: m.ModelConfig(10, 5, norm_axis="diagonal")),
+    "train-learning-rate-nan": ("__post_init__", lambda: tr.TrainConfig(learning_rate=np.nan)),
+    "train-eps-adam-0": ("__post_init__", lambda: tr.TrainConfig(eps_adam=0.0)),
+    "train-beta1-1": ("__post_init__", lambda: tr.TrainConfig(beta1=1.0)),
+    "train-batch-size-0": ("__post_init__", lambda: tr.TrainConfig(batch_size=0)),
+    "train-eval-negatives-0": ("__post_init__", lambda: tr.TrainConfig(eval_negatives=0)),
+    "train-eval-cutoff-0": ("__post_init__", lambda: tr.TrainConfig(eval_cutoff=0)),
+    "search-no-window": ("__post_init__", lambda: se.SearchConfig(windows=())),
+    "search-windows-decreasing": ("__post_init__", lambda: se.SearchConfig(windows=(2, 1))),
+    "search-mode": ("__post_init__", lambda: se.SearchConfig(windows=(1,), mode="bogus")),
+    "search-arch-lr--1": ("__post_init__", lambda: se.SearchConfig(windows=(1,), arch_lr=-1.0)),
+    "format-empty-delimiter": ("__post_init__", lambda: d.ParseFormat(delimiter="")),
+    "format-no-timestamp": ("parse_interactions", lambda: d.parse_interactions(
+        io.StringIO(""), d.ParseFormat(columns=("user", "item")))),
+    "min-interactions-0": ("filter_users", lambda: d.filter_users(_log(), 0)),
+    "max-len-1": ("build_sequences", lambda: d.build_sequences(_log(), 1)),
+    "kstar-0": ("synthesize_log", lambda: d.synthesize_log(1, 5, 10, 0, 0.0, None)),
+    "vocab-3": ("synthesize_log", lambda: d.synthesize_log(1, 5, 3, 1, 0.0, None)),
+    "noise-1": ("synthesize_log", lambda: d.synthesize_log(1, 5, 10, 1, 1.0, None)),
+}
+
+
+@pytest.mark.parametrize("name", SETTING_CHECKS)
+def test_a_bad_setting_raises_usage_error_from_its_own_check(name):
+    check, call = SETTING_CHECKS[name]
+    with pytest.raises(d.UsageError) as info:
+        call()
+    assert info.traceback[-1].name == check

@@ -439,6 +439,22 @@ class TestGradientBuffers:
         assert np.array_equal(v1.grad, h.data.T @ up.data)
         assert np.array_equal(v2.grad, h.data.T @ up.data)
 
+    def test_a_leaf_takes_its_first_contribution_as_its_buffer(self):
+        # the leaf's data and one gradient-sized buffer at a time: backward
+        # drops the leaf's old buffer and adopts sum_all's gradient, with no
+        # zeroed buffer to add it into
+        tracemalloc.start()
+        try:
+            x = t(np.ones((1000, 1000)), grad=True)
+            loss = nk.sum_all(x)
+            tracemalloc.reset_peak()
+            nk.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(x.grad, np.ones((1000, 1000)))
+        assert peak < 2.5 * x.data.nbytes
+
 
 class TestReleasedTape:
     """``backward`` frees each node's saved tensors once its closure has run."""

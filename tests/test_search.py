@@ -385,10 +385,11 @@ class TestRunSearch:
         result, _ = se.run_search(ds, cfg, scfg)
         assert result.epochs_run <= 4
 
-    def test_result_json_roundtrip(self):
+    def test_result_json_roundtrip(self, tmp_path):
         ds = planted()
         result, _ = se.run_search(ds, model_cfg(ds), search_cfg(max_epochs=2))
-        back = se.SearchResult.from_json(result.to_json())
+        (tmp_path / "search_result.json").write_text(result.to_json() + "\n")
+        back = se.SearchResult.load(tmp_path / "search_result.json")
         assert back == result
 
 
