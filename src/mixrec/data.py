@@ -149,8 +149,8 @@ class Example:
 class ExampleTable:
     """Leave-one-out examples as aligned columns over one shared item array.
 
-    ``padded`` holds each retained user's items, oldest first, after
-    ``max_len`` PADs, so row r's input is the window
+    ``padded`` holds each user's items, oldest first, after ``max_len``
+    PADs, so row r's input is the window
     ``padded[starts[r]:starts[r] + max_len]``. Slices, integer arrays and
     boolean masks select rows into a table that shares ``padded``; an int
     index, like iteration, yields one ``Example``.
@@ -185,18 +185,45 @@ class ExampleTable:
 
 @dataclass
 class SequenceDataset:
-    """Per-user chronological sequences with leave-one-out examples."""
+    """Per-user chronological sequences with leave-one-out examples.
+
+    Each user's items, oldest first, are held once, as a slice of
+    ``examples.padded``: user ``user_ids[k]`` has ``user_lengths[k]`` items
+    from ``user_starts[k]`` on. ``user_ids`` ascends and also lists the users
+    of fewer than 3 items, which give no example.
+    """
 
     max_len: int
     num_items: int
-    user_sequences: dict  # user idx -> list of item indices, oldest first
     examples: ExampleTable
     item_counts: np.ndarray  # index -> interaction count, item_counts[PAD] == 0
+    user_ids: np.ndarray
+    user_starts: np.ndarray
+    user_lengths: np.ndarray
 
     def split_examples(self, split):
         """The examples of one split, in dataset order."""
         code = SPLITS.index(split) if split in SPLITS else -1
         return self.examples[self.examples.splits == code]
+
+    def sequences(self):
+        """Each user's id and items, oldest first, in id order; the items are
+        a view of ``examples.padded``."""
+        padded = self.examples.padded
+        for user, start, n in zip(self.user_ids.tolist(), self.user_starts.tolist(),
+                                  self.user_lengths.tolist()):
+            yield user, padded[start:start + n]
+
+    def history_mask(self, users):
+        """len(users) x (num_items + 1) boolean mask whose row i marks the
+        items of user ``users[i]``: one gather from ``padded``, one scatter."""
+        k = np.searchsorted(self.user_ids, users)
+        lengths = self.user_lengths[k]
+        at = np.arange(lengths.sum()) + np.repeat(self.user_starts[k] - _run_starts(lengths),
+                                                  lengths)
+        mask = np.zeros((len(k), self.num_items + 1), dtype=bool)
+        mask[np.repeat(np.arange(len(k)), lengths), self.examples.padded[at]] = True
+        return mask
 
     def save(self, path):
         """Write user sequences; examples are rebuilt deterministically on load."""
@@ -207,8 +234,8 @@ class SequenceDataset:
                 "item_counts": self.item_counts.tolist(),
             }
             fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for user in sorted(self.user_sequences):
-                fh.write(json.dumps({"user": user, "items": self.user_sequences[user]}) + "\n")
+            for user, items in self.sequences():
+                fh.write(json.dumps({"user": user, "items": items.tolist()}) + "\n")
 
     @classmethod
     def load(cls, path):
@@ -238,7 +265,12 @@ class SequenceDataset:
                         raise DataError(f"{path}: user {user} has a non-integer item "
                                         f"or one outside 1..{num_items}")
                     sequences[user] = items
-                return _dataset_from_sequences(sequences, max_len, num_items, item_counts)
+                users = sorted(sequences)
+                lengths = np.array([len(sequences[u]) for u in users], dtype=np.intp)
+                items = np.fromiter(chain.from_iterable(map(sequences.get, users)),
+                                    dtype=np.intp, count=lengths.sum())
+                return _dataset(np.array(users, dtype=np.intp), lengths, items,
+                                max_len, num_items, item_counts)
             except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: malformed dataset file: {exc!r}") from None
 
@@ -248,27 +280,32 @@ def _run_starts(lengths):
     return np.cumsum(lengths) - lengths
 
 
-def _dataset_from_sequences(sequences, max_len, num_items, item_counts):
-    """A user with n >= 3 items gives n - 1 examples, users in index order:
-    the prefixes before seq[1] .. seq[n-3] (train), seq[n-2] (val) and
-    seq[n-1] (test). Linear in the number of items."""
-    kept = [u for u in sorted(sequences) if len(sequences[u]) >= 3]
-    lens = np.array([len(sequences[u]) for u in kept], dtype=np.intp)
-    padded = np.fromiter(chain.from_iterable(chain([PAD] * max_len, sequences[u]) for u in kept),
-                         dtype=np.intp)
-    blocks = _run_starts(max_len + lens)  # where each user's PADs begin in padded
+def _dataset(user_ids, lengths, items, max_len, num_items, item_counts):
+    """The dataset of the users ``user_ids`` (ascending) whose items, oldest
+    first, are the consecutive runs of ``items`` of these ``lengths``.
 
-    per_user = lens - 1
+    Each user's run goes into ``padded`` after ``max_len`` PADs. A user with
+    n >= 3 items gives n - 1 examples, users in id order: the prefixes before
+    seq[1] .. seq[n-3] (train), seq[n-2] (val) and seq[n-1] (test). Linear in
+    the number of items.
+    """
+    runs = _run_starts(lengths)
+    padded = np.insert(items, np.repeat(runs, max_len), PAD)
+    blocks = runs + max_len * np.arange(len(lengths))  # where each user's PADs begin in padded
+
+    per_user = np.where(lengths >= 3, lengths - 1, 0)
     prefix = np.arange(per_user.sum()) - np.repeat(_run_starts(per_user), per_user) + 1
     starts = np.repeat(blocks, per_user) + prefix  # the window ends right before seq[prefix]
-    splits = np.maximum(prefix - np.repeat(lens - 3, per_user), 0)  # train 0, val 1, test 2
-    examples = ExampleTable(np.repeat(np.array(kept, dtype=np.intp), per_user),
-                            padded[starts + max_len], splits, starts, padded, max_len)
-    return SequenceDataset(max_len, num_items, sequences, examples, item_counts)
+    splits = np.maximum(prefix - np.repeat(lengths - 3, per_user), 0)  # train 0, val 1, test 2
+    examples = ExampleTable(np.repeat(user_ids, per_user), padded[starts + max_len], splits,
+                            starts, padded, max_len)
+    return SequenceDataset(max_len, num_items, examples, item_counts,
+                           user_ids, blocks + max_len, lengths)
 
 
 def build_sequences(log, max_len):
-    """Chronological leave-one-out split with left-padded fixed-length inputs."""
+    """Chronological leave-one-out split with left-padded fixed-length inputs;
+    users with fewer than 3 events are dropped."""
     if max_len < 2:
         raise UsageError(f"max_len must be >= 2, got {max_len}")
     ui, ii = log.user_index, log.item_index
@@ -276,12 +313,16 @@ def build_sequences(log, max_len):
     items = np.array([ii[ev[1]] for ev in log.events], dtype=np.intp)
     stamps = np.array([ev[2] for ev in log.events])
     # by user, then timestamp; lexsort is stable, so ties keep file order
-    flat = items[np.lexsort((stamps, users))].tolist()
-    lengths = np.bincount(users, minlength=log.num_users + 1).tolist()
-    ends = np.cumsum(lengths).tolist()
-    retained = {u: flat[ends[u] - n:ends[u]] for u, n in enumerate(lengths) if n >= 3}
+    by_user = items[np.lexsort((stamps, users))]
+    lengths = np.bincount(users, minlength=log.num_users + 1)
+    kept = lengths >= 3
     counts = np.bincount(items, minlength=log.num_items + 1)
-    return _dataset_from_sequences(retained, max_len, log.num_items, counts)
+    return _dataset(np.flatnonzero(kept), lengths[kept], by_user[np.repeat(kept, lengths)],
+                    max_len, log.num_items, counts)
+
+
+_GUIDE_BUCKETS = 2 ** 14  # a power of two, so u * _GUIDE_BUCKETS is exact
+_GUIDE_STEPS = 4  # linear steps from a bucket's guide before a binary search
 
 
 class PopularityDist:
@@ -302,18 +343,31 @@ class PopularityDist:
         # takes that sliver, and every other draw keeps its item
         self.cumulative[np.flatnonzero(counts)[-1]:] = 1.0
         self.observed = counts > 0  # candidate mask; PAD is never observed
+        # guide table (Chen & Asau, 1974): guide[j] is the item of the draw
+        # j / M, so no draw in [j / M, (j + 1) / M) maps below it
+        self.guide = np.searchsorted(self.cumulative,
+                                     np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS, side="right")
 
+    def lookup(self, u):
+        """The item of each draw in ``u`` (an array of floats in [0, 1)),
+        ``np.searchsorted(cumulative, u, side="right")`` exactly.
 
-def history_mask(histories, width):
-    """B x ``width`` boolean mask whose row i marks the items of
-    ``histories[i]``; items outside 0..width-1 are ignored."""
-    lengths = [len(h) for h in histories]
-    items = np.fromiter(chain.from_iterable(histories), dtype=np.intp, count=sum(lengths))
-    rows = np.repeat(np.arange(len(lengths)), lengths)
-    inside = (items >= 0) & (items < width)
-    mask = np.zeros((len(lengths), width), dtype=bool)
-    mask[rows[inside], items[inside]] = True
-    return mask
+        Each draw starts at its bucket's guide and steps up while the
+        cumulative sum at its item is <= the draw; the few draws still
+        unresolved after ``_GUIDE_STEPS`` steps take a binary search.
+        """
+        u = np.asarray(u, dtype=np.float64)
+        flat = u.reshape(-1)
+        items = self.guide[(flat * _GUIDE_BUCKETS).astype(np.intp)]
+        todo = np.flatnonzero(self.cumulative[items] <= flat)
+        for _ in range(_GUIDE_STEPS):
+            if not todo.size:
+                break
+            items[todo] += 1
+            todo = todo[self.cumulative[items[todo]] <= flat[todo]]
+        if todo.size:
+            items[todo] = np.searchsorted(self.cumulative, flat[todo], side="right")
+        return items.reshape(u.shape)
 
 
 _REJECTION_ROUNDS = 40  # per row of sample_negatives, before its exact draw
@@ -325,7 +379,7 @@ def _rejection_round(dist, free, rngs, need):
     to the row, up to ``need``. Returns the draws and the kept mask."""
     b = len(rngs)
     u = np.array([rng.random(2 * need) for rng in rngs]).reshape(b, 2 * need)
-    draws = np.searchsorted(dist.cumulative, u, side="right")
+    draws = dist.lookup(u)
     # first occurrences: a stable sort groups equal (row, item) keys in draw order
     keys = (np.arange(b)[:, None] * free.shape[1] + draws).reshape(-1)
     order = np.argsort(keys, kind="stable")
@@ -357,19 +411,18 @@ def _finish_row(dist, free, chosen, n, rng, rounds):
     return chosen
 
 
-def sample_negatives(dist, excludes, n, rngs):
+def sample_negatives(dist, excluded, n, rngs):
     """Draw ``n`` distinct items per row, popularity-weighted, outside the
-    row's ``excludes[i]`` and with its own generator ``rngs[i]``; returns a
-    B x n array.
+    items that row i of the B x (V+1) boolean mask ``excluded`` marks and
+    with its own generator ``rngs[i]``; returns a B x n array.
 
     A row's draws depend on its generator and exclusions alone. Rejection
     draws by popularity come first, up to 40 rounds of ``2 * (n - chosen)``
     draws; whatever is still missing comes from one exact draw,
     renormalised over the remaining candidates. The first round runs for
-    every row at once; rows it leaves short go on alone. Exclusions outside
-    the vocabulary are ignored.
+    every row at once; rows it leaves short go on alone.
     """
-    free = dist.observed & ~history_mask(excludes, dist.observed.size)
+    free = dist.observed & ~excluded
     sizes = free.sum(axis=1)
     too_small = np.flatnonzero(sizes < n)
     if too_small.size:

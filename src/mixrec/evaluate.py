@@ -91,10 +91,9 @@ def evaluate_split(params, cfg, dataset, split, num_negatives=100, cutoff=10,
         chunk = examples[start:start + batch_size]
         cands = np.empty((len(chunk), 1 + num_negatives), dtype=np.intp)
         cands[:, 0] = chunk.targets
-        users = chunk.users.tolist()
         cands[:, 1:] = sample_negatives(
-            dist, [dataset.user_sequences[u] for u in users], num_negatives,
-            [example_rng(seed, u, split) for u in users])
+            dist, dataset.history_mask(chunk.users), num_negatives,
+            [example_rng(seed, u, split) for u in chunk.users.tolist()])
         hidden = forward_hidden(chunk.inputs(), frozen, cfg)
         raw = score_items(hidden, cands, frozen)
         if not np.isfinite(raw.data).all():

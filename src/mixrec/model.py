@@ -342,29 +342,31 @@ def load_checkpoint(path):
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
         if magic != CHECKPOINT_MAGIC:
-            raise DataFormatError(f"not a checkpoint file (magic {magic!r})")
+            raise DataFormatError(f"{path}: not a checkpoint file (magic {magic!r})")
         # a truncated or corrupt header surfaces as a JSON, key or type error
         try:
             header = json.loads(fh.readline().decode("utf-8"))
             if header.get("version") != CHECKPOINT_VERSION:
-                raise DataFormatError(f"unsupported checkpoint version {header.get('version')}")
+                raise DataFormatError(f"{path}: unsupported checkpoint version "
+                                      f"{header.get('version')}")
             c = header["config"]
             cfg = ModelConfig(**{f.name: c[f.name] for f in fields(ModelConfig)})
             arrays = [(name, rows, cols) for name, rows, cols in header["arrays"]]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"malformed checkpoint header: {exc!r}") from None
+            raise DataFormatError(f"{path}: malformed checkpoint header: {exc!r}") from None
         params = init_params(cfg, np.random.default_rng(0))
         expected = {name: leaf for name, leaf in params.leaves()}
         if [name for name, _, _ in arrays] != list(expected):
-            raise DataFormatError("checkpoint array list does not match the declared config")
+            raise DataFormatError(
+                f"{path}: checkpoint array list does not match the declared config")
         for name, rows, cols in arrays:
             leaf = expected[name]
             if (rows, cols) != leaf.data.shape:
                 raise DataFormatError(
-                    f"array {name}: header says {rows}x{cols}, "
+                    f"{path}: array {name}: header says {rows}x{cols}, "
                     f"config implies {leaf.rows}x{leaf.cols}")
             raw = fh.read(rows * cols * 8)
             if len(raw) != rows * cols * 8:
-                raise DataFormatError(f"array {name}: truncated payload")
+                raise DataFormatError(f"{path}: array {name}: truncated payload")
             leaf.data[...] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
     return params, cfg

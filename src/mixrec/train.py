@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evaluate, numkit as nk
-from .data import PAD, DataError, PopularityDist, SamplingError, UsageError, history_mask
+from .data import PAD, DataError, PopularityDist, SamplingError, UsageError
 from .model import forward_hidden, score_items
 
 
@@ -91,23 +91,22 @@ class Batch:
     split: str
 
 
-def sample_training_negatives(dist, histories, n_neg, rng, max_rounds=200):
-    """Popularity-weighted negatives per example, excluding the items of
-    each example's ``histories[i]``.
+def sample_training_negatives(dist, owned, n_neg, rng, max_rounds=200):
+    """Popularity-weighted negatives per example, excluding the items that
+    row i of the B x (V+1) boolean mask ``owned`` marks.
 
     Draws with replacement across examples (training only); redraws entries
     colliding with the owner's history until clean.
     """
-    n = len(histories)
-    owned = history_mask(histories, dist.counts.size)
+    n = len(owned)
     rows = np.arange(n)[:, None]
-    draws = np.searchsorted(dist.cumulative, rng.random((n, n_neg)), side="right")
+    draws = dist.lookup(rng.random((n, n_neg)))
     for _ in range(max_rounds):
         bad = owned[rows, draws]
         hits = int(bad.sum())
         if hits == 0:
             return draws
-        draws[bad] = np.searchsorted(dist.cumulative, rng.random(hits), side="right")
+        draws[bad] = dist.lookup(rng.random(hits))
     raise SamplingError("could not draw training negatives outside user histories")
 
 
@@ -117,8 +116,7 @@ def make_batches(dataset, examples, batch_size, n_neg, dist, rng, split):
     batches = []
     for start in range(0, len(order), batch_size):
         chunk = examples[order[start:start + batch_size]]
-        histories = [dataset.user_sequences[user] for user in chunk.users.tolist()]
-        negatives = sample_training_negatives(dist, histories, n_neg, rng)
+        negatives = sample_training_negatives(dist, dataset.history_mask(chunk.users), n_neg, rng)
         batches.append(Batch(chunk.inputs(), chunk.targets, negatives, split))
     return batches
 

@@ -1,8 +1,11 @@
 """Tests for log parsing, splitting, negative sampling, and synthetic logs."""
 
+import ast
 import io
 import json
 import tempfile
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,20 @@ from mixrec import train as tr
 def log_from_rows(rows):
     text = "\n".join("\t".join(str(c) for c in row) for row in rows) + "\n"
     return d.parse_interactions(io.StringIO(text))
+
+
+def user_sequences(ds):
+    """Each user's items as a list, keyed by user id."""
+    return {user: items.tolist() for user, items in ds.sequences()}
+
+
+def mask_of(excludes, width):
+    """The B x ``width`` boolean mask of each row's items; items outside
+    0..width-1 mark nothing."""
+    mask = np.zeros((len(excludes), width), dtype=bool)
+    for row, items in zip(mask, excludes):
+        row[[i for i in items if 0 <= i < width]] = True
+    return mask
 
 
 class TestParsing:
@@ -130,7 +147,7 @@ class TestBuildSequences:
     def test_timestamp_ties_broken_by_file_order(self):
         rows = [("u", "a", 5), ("u", "b", 5), ("u", "c", 5)]
         ds = d.build_sequences(log_from_rows(rows), max_len=3)
-        assert ds.user_sequences[1] == [1, 2, 3]
+        assert user_sequences(ds) == {1: [1, 2, 3]}
 
     def test_no_input_contains_target_or_later_items(self):
         rng = np.random.default_rng(1)
@@ -139,8 +156,9 @@ class TestBuildSequences:
             for t in range(int(rng.integers(3, 15))):
                 rows.append((f"u{u}", f"i{rng.integers(30)}", t))
         ds = d.build_sequences(log_from_rows(rows), max_len=6)
+        sequences = user_sequences(ds)
         for ex in ds.examples:
-            seq = ds.user_sequences[ex.user]
+            seq = sequences[ex.user]
             real = [i for i in ex.input if i != d.PAD]
             # the input must be exactly the window just before the target position
             pos = {"test": len(seq) - 1, "val": len(seq) - 2}.get(ex.split)
@@ -164,12 +182,50 @@ class TestBuildSequences:
         ds.save(path)
         back = d.SequenceDataset.load(path)
         assert list(back.examples) == list(ds.examples)
-        assert back.user_sequences == ds.user_sequences
+        assert user_sequences(back) == user_sequences(ds)
         np.testing.assert_array_equal(back.item_counts, ds.item_counts)
         # and a second save is byte-identical
         path2 = tmp_path / "ds2.jsonl"
         back.save(path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_short_users_and_sparse_ids_save_back_byte_identical(self, tmp_path):
+        # users of fewer than 3 items give no example but stay in the file
+        path = tmp_path / "ds.jsonl"
+        header = {"item_counts": [0, 3, 3, 2, 1], "max_len": 3, "num_items": 4}
+        users = [{"user": 0, "items": [1, 2, 3, 4]}, {"user": 7, "items": [2]},
+                 {"user": 40, "items": []}, {"user": 10**9, "items": [3, 1, 2]},
+                 {"user": 10**9 + 1, "items": [1, 2]}]
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in [header] + users))
+        ds = d.SequenceDataset.load(path)
+        assert user_sequences(ds) == {rec["user"]: rec["items"] for rec in users}
+        assert sorted(set(ds.examples.users.tolist())) == [0, 10**9]
+        ds.save(tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+        # a dataset over a slice of the examples reads the same histories
+        part = replace(ds, examples=ds.split_examples("val"))
+        assert user_sequences(part) == user_sequences(ds)
+        np.testing.assert_array_equal(
+            part.history_mask(np.array([10**9 + 1, 7, 10**9, 40])),
+            mask_of([[1, 2], [2], [3, 1, 2], []], 5))
+
+    def test_the_build_keeps_under_56_bytes_per_event(self):
+        # padded holds each item once (8 B) and four 8 B example columns;
+        # per-user lists of Python ints kept about 80 B per event in all
+        rng = np.random.default_rng(0)
+        events = [(f"u{u}", str(i), t, None)
+                  for u, n in enumerate(rng.integers(3, 400, size=300).tolist())
+                  for t, i in enumerate(rng.integers(1, 2000, size=n).tolist())]
+        log = d._indexed_log(events)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ds = d.build_sequences(log, max_len=50)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(ds.examples) == len(events) - 300
+        assert kept / len(events) < 56
 
     def saved_lines(self, tmp_path):
         rows = [(f"u{u}", f"i{(u * 7 + t) % 9}", t) for u in range(4) for t in range(5)]
@@ -241,7 +297,10 @@ class TestBuildSequences:
         assert list(ds.examples) == want
         np.testing.assert_array_equal(ds.item_counts, counts)
         assert ds.item_counts.dtype == counts.dtype
-        assert ds.user_sequences == sequences
+        assert user_sequences(ds) == sequences
+        users = np.array(sorted(sequences), dtype=np.intp)[::-1]
+        np.testing.assert_array_equal(ds.history_mask(users),
+                                      mask_of([sequences[u] for u in users], counts.size))
         for split in d.SPLITS:
             chosen = [ex for ex in want if ex.split == split]
             table = ds.split_examples(split)
@@ -308,39 +367,41 @@ class TestSampleNegatives:
         counts = np.zeros(102)
         counts[1:102] = 1
         dist = d.PopularityDist(counts)
-        (out,) = d.sample_negatives(dist, [{50}], 100, [np.random.default_rng(0)])
+        (out,) = d.sample_negatives(dist, mask_of([{50}], 102), 100, [np.random.default_rng(0)])
         assert sorted(out) == [i for i in range(1, 102) if i != 50]
 
     def test_popularity_proportional(self):
         dist = d.PopularityDist([0, 90, 5, 5])
         rng = np.random.default_rng(123)
-        hits = sum(d.sample_negatives(dist, [set()], 1, [rng])[0, 0] == 1 for _ in range(10_000))
+        none = mask_of([set()], 4)
+        hits = sum(d.sample_negatives(dist, none, 1, [rng])[0, 0] == 1 for _ in range(10_000))
         assert 0.87 <= hits / 10_000 <= 0.93
 
     def test_exhausted_pool_raises(self):
         dist = d.PopularityDist([0, 3, 2, 1])
         with pytest.raises(d.SamplingError, match="pool has 0"):
-            d.sample_negatives(dist, [{1, 2, 3}], 1, [np.random.default_rng(0)])
+            d.sample_negatives(dist, mask_of([{1, 2, 3}], 4), 1, [np.random.default_rng(0)])
 
     def test_never_returns_excluded_or_padding(self):
         dist = d.PopularityDist([0, 5, 5, 5, 5, 5, 5])
         rng = np.random.default_rng(9)
         for _ in range(200):
-            (out,) = d.sample_negatives(dist, [{2, 4}], 3, [rng])
+            (out,) = d.sample_negatives(dist, mask_of([{2, 4}], 7), 3, [rng])
             assert len(set(out)) == 3
             assert not {2, 4, d.PAD} & set(out)
 
     def test_deterministic_given_seed(self):
         counts = np.arange(50.0)
-        out1 = d.sample_negatives(d.PopularityDist(counts), [{3}], 20, [np.random.default_rng(5)])
-        out2 = d.sample_negatives(d.PopularityDist(counts), [{3}], 20, [np.random.default_rng(5)])
+        excluded = mask_of([{3}], 50)
+        out1 = d.sample_negatives(d.PopularityDist(counts), excluded, 20, [np.random.default_rng(5)])
+        out2 = d.sample_negatives(d.PopularityDist(counts), excluded, 20, [np.random.default_rng(5)])
         assert out1.tolist() == out2.tolist()
 
     # Literal draws: evaluation negatives are part of the seed contract, so
     # no rewrite of the sampler may change them.
 
     def test_pinned_draws_rejection_path(self):
-        out = d.sample_negatives(d.PopularityDist(np.arange(40)), [{3, 7, 11, 99}], 8,
+        out = d.sample_negatives(d.PopularityDist(np.arange(40)), mask_of([{3, 7, 11, 99}], 40), 8,
                                  [np.random.default_rng(11)])
         assert out.tolist() == [[14, 28, 31, 15, 38, 10, 24, 32]]
 
@@ -348,7 +409,7 @@ class TestSampleNegatives:
         # 7 candidates, n*3 > 7: only the exact renormalised draw runs;
         # -1 and 50 lie outside the vocabulary and exclude nothing
         counts = [0, 5, 1, 3, 0, 2, 8, 4, 6, 1, 2]
-        out = d.sample_negatives(d.PopularityDist(counts), [{2, 6, -1, 50}], 4,
+        out = d.sample_negatives(d.PopularityDist(counts), mask_of([{2, 6, -1, 50}], 11), 4,
                                  [np.random.default_rng(12)])
         assert out.tolist() == [[3, 10, 1, 7]]
 
@@ -356,7 +417,7 @@ class TestSampleNegatives:
         # item 1 takes nearly all the mass, so 40 rounds find only it and
         # the exact draw picks the other eight
         counts = [0, 10**9] + [1] * 29
-        out = d.sample_negatives(d.PopularityDist(counts), [{0, 30}], 9,
+        out = d.sample_negatives(d.PopularityDist(counts), mask_of([{0, 30}], 31), 9,
                                  [np.random.default_rng(13)])
         assert out.tolist() == [[1, 27, 17, 16, 9, 22, 15, 10, 11]]
 
@@ -367,13 +428,14 @@ class TestSampleNegatives:
     def test_matches_list_based_oracle(self, counts, exclude, n, seed):
         counts[1] += 1  # a distribution needs one observed interaction
         dist = d.PopularityDist(counts)
+        excluded = mask_of([exclude], len(counts))
         try:
             want = list_pool_sample_negatives(dist, exclude, n, np.random.default_rng(seed))
         except d.SamplingError:
             with pytest.raises(d.SamplingError):
-                d.sample_negatives(dist, [exclude], n, [np.random.default_rng(seed)])
+                d.sample_negatives(dist, excluded, n, [np.random.default_rng(seed)])
             return
-        assert d.sample_negatives(dist, [exclude], n, [np.random.default_rng(seed)]).tolist() == [want]
+        assert d.sample_negatives(dist, excluded, n, [np.random.default_rng(seed)]).tolist() == [want]
 
     @given(st.lists(st.integers(0, 50), min_size=2, max_size=40),
            st.lists(st.tuples(st.lists(st.integers(-5, 50), max_size=30),
@@ -383,16 +445,16 @@ class TestSampleNegatives:
     def test_each_row_of_a_batch_matches_the_oracle(self, counts, rows, n):
         counts[1] += 1
         dist = d.PopularityDist(counts)
-        excludes = [exclude for exclude, _ in rows]
+        excluded = mask_of([exclude for exclude, _ in rows], len(counts))
         rngs = [np.random.default_rng(seed) for _, seed in rows]
         try:
             want = [list_pool_sample_negatives(dist, exclude, n, np.random.default_rng(seed))
                     for exclude, seed in rows]
         except d.SamplingError:
             with pytest.raises(d.SamplingError):
-                d.sample_negatives(dist, excludes, n, rngs)
+                d.sample_negatives(dist, excluded, n, rngs)
             return
-        out = d.sample_negatives(dist, excludes, n, rngs)
+        out = d.sample_negatives(dist, excluded, n, rngs)
         assert out.shape == (len(rows), n)
         assert out.tolist() == want
 
@@ -407,12 +469,13 @@ class TestSampleNegatives:
         finished = []
         finish_row = d._finish_row
         monkeypatch.setattr(d, "_finish_row", lambda *a: finished.append(a[-1]) or finish_row(*a))
-        out = d.sample_negatives(dist, excludes, 9, [np.random.default_rng(s) for s in seeds])
+        out = d.sample_negatives(dist, mask_of(excludes, 61), 9,
+                                 [np.random.default_rng(s) for s in seeds])
         assert finished == [39, 0]
         assert out.tolist() == [list_pool_sample_negatives(dist, e, 9, np.random.default_rng(s))
                                 for e, s in zip(excludes, seeds)]
         with pytest.raises(d.SamplingError, match="pool has 5"):
-            d.sample_negatives(dist, excludes + [range(1, 56)], 9,
+            d.sample_negatives(dist, mask_of(excludes + [range(1, 56)], 61), 9,
                                [np.random.default_rng(s) for s in seeds + [35]])
 
     def test_a_draw_past_the_float_sum_gets_a_real_item(self):
@@ -421,8 +484,9 @@ class TestSampleNegatives:
         dist = d.PopularityDist(counts)
         assert dist.cumulative[-1] == 1.0
         top = StubGenerator(np.nextafter(1.0, 0.0))
-        assert d.sample_negatives(dist, [[]], 1, [top]).tolist() == [[10]]
-        assert tr.sample_training_negatives(dist, [[1, 2]], 2, top).tolist() == [[10, 10]]
+        assert d.sample_negatives(dist, mask_of([[]], 12), 1, [top]).tolist() == [[10]]
+        owned = mask_of([[1, 2]], 12)
+        assert tr.sample_training_negatives(dist, owned, 2, top).tolist() == [[10, 10]]
 
     @given(st.lists(st.integers(0, 1000), min_size=2, max_size=60),
            st.floats(0.0, 1.0, exclude_max=True))
@@ -435,6 +499,56 @@ class TestSampleNegatives:
         if u < plain[-1]:
             assert (np.searchsorted(dist.cumulative, u, side="right")
                     == np.searchsorted(plain, u, side="right"))
+
+
+class TestPopularityLookup:
+    """``PopularityDist.lookup`` is the binary search of the cumulative sum."""
+
+    COUNTS = st.one_of(
+        # zeros anywhere, item 1 observed
+        st.lists(st.integers(0, 1000), min_size=2, max_size=60)
+        .map(lambda c: [c[0], c[1] + 1, *c[2:]]),
+        # a single observed item
+        st.tuples(st.integers(1, 300), st.integers(0, 300))
+        .map(lambda t: [0] * t[0] + [1] + [0] * t[1]),
+        # Zipf popularity; the tail rounds down to zero counts
+        st.tuples(st.integers(1, 4000), st.floats(0.5, 2.0))
+        .map(lambda t: [0, *np.floor(1e6 * np.arange(1.0, t[0] + 1) ** -t[1]).tolist()]),
+        # one heavy item, then thousands of tiny ones in the last bucket
+        st.tuples(st.integers(1000, 5000), st.integers(10**6, 10**12))
+        .map(lambda t: [0, t[1]] + [1] * t[0]),
+    )
+
+    @staticmethod
+    def edge_draws():
+        """0.0, every bucket edge k/M and its neighbours, and the largest
+        double below 1.0."""
+        edges = np.arange(d._GUIDE_BUCKETS) / d._GUIDE_BUCKETS
+        return np.concatenate([edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0),
+                               [np.nextafter(1.0, 0.0)]])
+
+    @given(COUNTS, st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_binary_search(self, counts, draws):
+        dist = d.PopularityDist(counts)
+        u = np.concatenate([self.edge_draws(), draws])
+        want = np.searchsorted(dist.cumulative, u, side="right")
+        np.testing.assert_array_equal(dist.lookup(u), want)
+        np.testing.assert_array_equal(dist.lookup(u[:12].reshape(3, 4)), want[:12].reshape(3, 4))
+
+    def test_only_popularity_dist_searches_the_cumulative_sum(self):
+        # every draw by popularity goes through PopularityDist.lookup
+        found = []
+        for path in sorted(Path(d.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            inside = {id(node) for cls in ast.walk(tree)
+                      if isinstance(cls, ast.ClassDef) and cls.name == "PopularityDist"
+                      for node in ast.walk(cls)}
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "searchsorted" and id(node) not in inside
+                      and "cumulative" in ast.unparse(node)]
+        assert found == []
 
 
 class StubGenerator:
@@ -479,14 +593,14 @@ class TestSyntheticLog:
     def test_rule_collapse_for_window_one(self):
         log = d.synthesize_log(5, 20, 16, 1, 0.0, np.random.default_rng(0))
         ds = d.build_sequences(log, max_len=4)
-        for seq in ds.user_sequences.values():
+        for seq in user_sequences(ds).values():
             for t in range(1, len(seq)):
                 assert seq[t] == (2 * seq[t - 1]) % 16 + 1
 
     def test_noise_free_transitions_satisfy_rule(self):
         log = d.synthesize_log(10, 30, 50, 2, 0.0, np.random.default_rng(1))
         ds = d.build_sequences(log, max_len=8)
-        for seq in ds.user_sequences.values():
+        for seq in user_sequences(ds).values():
             for t in range(2, len(seq)):
                 assert seq[t] == d.planted_next(seq[t - 1], seq[t - 2], 50)
 
@@ -495,7 +609,7 @@ class TestSyntheticLog:
         log = d.synthesize_log(400, 27, vocab, k, 0.2, np.random.default_rng(2))
         ds = d.build_sequences(log, max_len=8)
         total = violations = 0
-        for seq in ds.user_sequences.values():
+        for seq in user_sequences(ds).values():
             for t in range(k, len(seq)):
                 total += 1
                 violations += seq[t] != d.planted_next(seq[t - 1], seq[t - k], vocab)

@@ -1,5 +1,6 @@
 """Forward-pass tests against direct formula evaluation and invariants."""
 
+import json
 import math
 
 import numpy as np
@@ -506,8 +507,9 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOT-A-CHECKPOINT\n{}\n")
-        with pytest.raises(m.DataFormatError):
+        with pytest.raises(m.DataFormatError, match="not a checkpoint file") as info:
             m.load_checkpoint(path)
+        assert str(path) in str(info.value)
 
     def test_truncated_payload_rejected(self, tmp_path):
         cfg = toy_cfg()
@@ -516,19 +518,36 @@ class TestCheckpoint:
         m.save_checkpoint(path, params, cfg)
         data = path.read_bytes()
         path.write_bytes(data[:-16])
-        with pytest.raises(m.DataFormatError, match="truncated"):
+        with pytest.raises(m.DataFormatError, match="truncated") as info:
             m.load_checkpoint(path)
+        assert str(path) in str(info.value)
 
-    def test_shape_tamper_rejected(self, tmp_path):
-        import json as js
-
+    @staticmethod
+    def tampered_checkpoint(tmp_path, tamper):
         cfg = toy_cfg()
         params = m.init_params(cfg, np.random.default_rng(8))
         path = tmp_path / "model.ckpt"
         m.save_checkpoint(path, params, cfg)
         lines = path.read_bytes().split(b"\n", 2)
-        header = js.loads(lines[1])
-        header["arrays"][0][1] += 1
-        path.write_bytes(lines[0] + b"\n" + js.dumps(header).encode() + b"\n" + lines[2])
-        with pytest.raises(m.DataFormatError):
+        header = json.loads(lines[1])
+        tamper(header)
+        path.write_bytes(lines[0] + b"\n" + json.dumps(header).encode() + b"\n" + lines[2])
+        return path
+
+    def test_shape_tamper_rejected(self, tmp_path):
+        path = self.tampered_checkpoint(
+            tmp_path, lambda h: h["arrays"][0].__setitem__(1, h["arrays"][0][1] + 1))
+        with pytest.raises(m.DataFormatError, match="header says") as info:
             m.load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda h: h["arrays"].pop(), "array list does not match"),
+        (lambda h: h.__setitem__("version", 99), "unsupported checkpoint version 99"),
+        (lambda h: h["config"].pop("dim"), "malformed checkpoint header"),
+    ], ids=["array-list", "version", "header"])
+    def test_header_tamper_rejected_naming_the_file(self, tmp_path, tamper, message):
+        path = self.tampered_checkpoint(tmp_path, tamper)
+        with pytest.raises(m.DataFormatError, match=message) as info:
+            m.load_checkpoint(path)
+        assert str(path) in str(info.value)

@@ -249,10 +249,11 @@ class TestTrainingNegatives:
         ds, _ = planted_setup(users=20, vocab=25)
         dist = d.PopularityDist(ds.item_counts)
         examples = ds.split_examples("train")[:64]
-        histories = [ds.user_sequences[ex.user] for ex in examples]
-        draws = tr.sample_training_negatives(dist, histories, 3, np.random.default_rng(14))
-        for row, owned in zip(draws, histories):
-            assert not set(int(x) for x in row) & set(owned)
+        sequences = dict(ds.sequences())
+        draws = tr.sample_training_negatives(dist, ds.history_mask(examples.users), 3,
+                                             np.random.default_rng(14))
+        for row, user in zip(draws, examples.users.tolist()):
+            assert not set(row.tolist()) & set(sequences[user].tolist())
             assert d.PAD not in row
 
     def test_batches_cover_every_example_once(self):
