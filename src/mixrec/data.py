@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -214,6 +215,12 @@ class SequenceDataset:
                                   self.user_lengths.tolist()):
             yield user, padded[start:start + n]
 
+    @cached_property
+    def popularity(self):
+        """The distribution of every negative drawn for this dataset, built
+        on first use: an empty log loads, and only a draw refuses it."""
+        return PopularityDist(self.item_counts)
+
     def history_mask(self, users):
         """len(users) x (num_items + 1) boolean mask whose row i marks the
         items of user ``users[i]``: one gather from ``padded``, one scatter."""
@@ -371,6 +378,7 @@ class PopularityDist:
 
 
 _REJECTION_ROUNDS = 40  # per row of sample_negatives, before its exact draw
+TRAINING_REJECTION_ROUNDS = 200  # of train.sample_training_negatives, before it gives up
 
 
 def _rejection_round(dist, free, rngs, need):

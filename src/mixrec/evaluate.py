@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit as nk
-from .data import DataError, PopularityDist, sample_negatives
+from .data import DataError, sample_negatives
 from .model import forward_hidden, score_items
 
 
@@ -81,7 +81,6 @@ def evaluate_split(params, cfg, dataset, split, num_negatives=100, cutoff=10,
     examples = dataset.split_examples(split)
     if not examples:
         raise DataError(f"split {split!r} has no examples")
-    dist = PopularityDist(dataset.item_counts)
 
     # constant leaves over the live arrays: no op records a node
     frozen = params.with_data({name: leaf.data for name, leaf in params.leaves()},
@@ -92,7 +91,7 @@ def evaluate_split(params, cfg, dataset, split, num_negatives=100, cutoff=10,
         cands = np.empty((len(chunk), 1 + num_negatives), dtype=np.intp)
         cands[:, 0] = chunk.targets
         cands[:, 1:] = sample_negatives(
-            dist, dataset.history_mask(chunk.users), num_negatives,
+            dataset.popularity, dataset.history_mask(chunk.users), num_negatives,
             [example_rng(seed, u, split) for u in chunk.users.tolist()])
         hidden = forward_hidden(chunk.inputs(), frozen, cfg)
         raw = score_items(hidden, cands, frozen)

@@ -284,8 +284,6 @@ def forward_hidden(inputs, params, cfg, alpha=None, rng=None):
     ``interest_forward``).
     """
     inputs = np.asarray(inputs, dtype=np.intp)
-    if inputs.ndim == 1:
-        inputs = inputs[None, :]
     b, t = inputs.shape
     if t != cfg.max_len:
         raise nk.ShapeError(f"input length {t} does not match max_len {cfg.max_len}")

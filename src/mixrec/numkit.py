@@ -461,7 +461,8 @@ def _erf_small(u, z, p, q):
 def gelu(a):
     """x * Phi(x) with Phi the exact (erf-based) standard normal CDF.
 
-    Bit for bit ``x * (0.5 * (1 + scipy.special.erf(x / sqrt(2))))``: where
+    Bit for bit ``x * (0.5 * (1 + scipy.special.erf(x * (1 / sqrt(2)))))``
+    (``x / sqrt(2)`` rounds differently and changes 4% of N(0, 1.5^2) outputs): where
     |x| <= sqrt(2) scipy's own polynomial runs in numpy (``_erf_small``), a
     cache-sized chunk at a time; the rest, with NaN and +-inf, calls scipy.
     On a taped input the same chunk pass also computes the derivative

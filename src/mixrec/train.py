@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evaluate, numkit as nk
-from .data import PAD, DataError, PopularityDist, SamplingError, UsageError
+from .data import PAD, TRAINING_REJECTION_ROUNDS, DataError, SamplingError, UsageError
 from .model import forward_hidden, score_items
 
 
@@ -78,11 +78,6 @@ def adam_update(named_params, state, cfg):
         p.data -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps_adam)
 
 
-def freeze_padding_rows(params):
-    """Row 0 of the item embedding is the padding slot and stays zero."""
-    params.item_embedding.data[PAD] = 0.0
-
-
 @dataclass
 class Batch:
     inputs: np.ndarray     # (B, T) item indices
@@ -91,7 +86,7 @@ class Batch:
     split: str
 
 
-def sample_training_negatives(dist, owned, n_neg, rng, max_rounds=200):
+def sample_training_negatives(dist, owned, n_neg, rng):
     """Popularity-weighted negatives per example, excluding the items that
     row i of the B x (V+1) boolean mask ``owned`` marks.
 
@@ -101,7 +96,7 @@ def sample_training_negatives(dist, owned, n_neg, rng, max_rounds=200):
     n = len(owned)
     rows = np.arange(n)[:, None]
     draws = dist.lookup(rng.random((n, n_neg)))
-    for _ in range(max_rounds):
+    for _ in range(TRAINING_REJECTION_ROUNDS):
         bad = owned[rows, draws]
         hits = int(bad.sum())
         if hits == 0:
@@ -110,13 +105,14 @@ def sample_training_negatives(dist, owned, n_neg, rng, max_rounds=200):
     raise SamplingError("could not draw training negatives outside user histories")
 
 
-def make_batches(dataset, examples, batch_size, n_neg, dist, rng, split):
+def make_batches(dataset, examples, batch_size, n_neg, rng, split):
     """Shuffle an example table and pack it with freshly drawn negatives."""
     order = rng.permutation(len(examples))
     batches = []
     for start in range(0, len(order), batch_size):
         chunk = examples[order[start:start + batch_size]]
-        negatives = sample_training_negatives(dist, dataset.history_mask(chunk.users), n_neg, rng)
+        owned = dataset.history_mask(chunk.users)
+        negatives = sample_training_negatives(dataset.popularity, owned, n_neg, rng)
         batches.append(Batch(chunk.inputs(), chunk.targets, negatives, split))
     return batches
 
@@ -132,20 +128,24 @@ def batch_loss(batch, params, cfg, *, rng, alpha=None):
     return nk.mean_all(per_example)
 
 
-def train_step(batch, params, cfg, train_cfg, state, *, rng, alpha=None):
-    """One committed weight step on ``batch``: the loss, then Adam on every
-    weight, with the padding row held at zero. Returns the loss value.
-
-    The logits ``alpha`` blend the candidate windows, as in the window
-    search; they are not updated here.
-    """
+def backprop(batch, params, cfg, *, rng, alpha=None):
+    """Run and replay ``batch``'s loss, the one gradient pass of training and
+    of the window search; returns its value. A non-finite loss raises
+    ``NumericalError`` naming ``batch.split`` before any replay."""
     loss = batch_loss(batch, params, cfg, alpha=alpha, rng=rng)
     value = loss.item()
     if not math.isfinite(value):
-        raise nk.NumericalError(f"training loss became non-finite: {value}")
+        raise nk.NumericalError(f"{batch.split} loss became non-finite: {value}")
     nk.backward(loss)
+    return value
+
+
+def train_step(batch, params, cfg, train_cfg, state, *, rng, alpha=None):
+    """One committed weight step: ``backprop``, then Adam on every weight
+    (``alpha``, if given, stays as it is). Returns the loss value."""
+    value = backprop(batch, params, cfg, rng=rng, alpha=alpha)
     adam_update(params.leaves(), state, train_cfg)
-    freeze_padding_rows(params)
+    params.item_embedding.data[PAD] = 0.0  # the padding slot stays zero
     return value
 
 
@@ -164,7 +164,6 @@ def fit(dataset, params, model_cfg, cfg, eval_seed=0):
     train_examples = dataset.split_examples("train")
     if not train_examples:
         raise DataError("training split is empty")
-    dist = PopularityDist(dataset.item_counts)
     ss = np.random.SeedSequence(cfg.seed)
     batch_rng, dropout_rng = (np.random.default_rng(s) for s in ss.spawn(2))
 
@@ -172,13 +171,11 @@ def fit(dataset, params, model_cfg, cfg, eval_seed=0):
     best = {"epoch": 0, "mrr": -math.inf, "snapshot": params.copy_data()}
     stale = 0
     trace = []
-    epochs_run = 0
     # one fixed batch plan per seed: keeps the loss trace a pure function of
     # the parameters (constant at lr=0) and pairs negatives across epochs
     batches = make_batches(dataset, train_examples, cfg.batch_size,
-                           cfg.negatives_per_positive, dist, batch_rng, "train")
+                           cfg.negatives_per_positive, batch_rng, "train")
     for epoch in range(1, cfg.max_epochs + 1):
-        epochs_run = epoch
         t0 = time.perf_counter()
         total = 0.0
         for batch in batches:
@@ -203,7 +200,7 @@ def fit(dataset, params, model_cfg, cfg, eval_seed=0):
                 break
 
     params.load_data(best["snapshot"])
-    return FitResult(params, trace, best["epoch"], best["mrr"], epochs_run)
+    return FitResult(params, trace, best["epoch"], best["mrr"], len(trace))
 
 
 def write_trace(path, records):

@@ -293,6 +293,63 @@ class TestDispatchAndExitCodes:
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, events", [("yes", 11), ("off", 12), ("maybe", None)])
+    def test_a_config_file_boolean_takes_its_words(self, tmp_path, capsys, value, events):
+        # header = yes skips the first line of the log; a word outside the
+        # listed ones is a usage error
+        (tmp_path / "run.conf").write_text(f"header = {value}\n")
+        (tmp_path / "log.tsv").write_text("".join(f"u{t % 2}\ti{t}\t{t}\n" for t in range(12)))
+        out = tmp_path / "out"
+        code = cli.main(["ingest", "--input", str(tmp_path / "log.tsv"), "--min-interactions",
+                         "3", "--config", str(tmp_path / "run.conf"), "--out", str(out)])
+        if events is None:
+            assert code == 2
+            assert "'maybe'" in capsys.readouterr().err
+        else:
+            assert code == 0
+            assert json.loads((out / "ingest.json").read_text())["events"] == events
+
+    def test_a_config_line_without_equals_is_a_usage_error(self, tmp_path, capsys):
+        (tmp_path / "run.conf").write_text("users = 11\nvocab 30\n")
+        code = cli.main(["synth", "--config", str(tmp_path / "run.conf"),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "run.conf:2: expected 'key = value'" in capsys.readouterr().err
+
+    def test_a_window_list_with_a_non_integer_is_a_usage_error(self, tmp_path, capsys):
+        dataset = synth(tmp_path)
+        capsys.readouterr()
+        code = cli.main(["search", "--dataset", str(dataset), "--K", "1,x",
+                         "--out", str(tmp_path / "out")] + FAST)
+        assert code == 2
+        assert "bad window list '1,x'" in capsys.readouterr().err
+
+    def test_eval_on_another_max_len_is_data_error(self, tmp_path, capsys):
+        train_out = tmp_path / "train"
+        assert cli.main(["train", "--dataset", str(synth(tmp_path)), "--k", "2",
+                         "--out", str(train_out)] + FAST) == 0
+        other = synth(tmp_path, name="other", **{"max-len": 6})
+        capsys.readouterr()
+        code = cli.main(["eval", "--dataset", str(other),
+                         "--checkpoint", str(train_out / "checkpoint.bin"),
+                         "--eval-negatives", "8", "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "max_len=5 but the dataset uses max_len=6" in capsys.readouterr().err
+
+    def test_a_nonfinite_search_loss_is_a_numerical_error(self, tmp_path, capsys):
+        # a lookahead at rate 1e300 sends the validation loss to NaN, and the
+        # architecture pass refuses it before alpha moves
+        data = tmp_path / "data"
+        assert cli.main(["synth", "--users", "20", "--len", "10", "--vocab", "15", "--kstar",
+                         "2", "--max-len", "6", "--seed", "1", "--out", str(data)]) == 0
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = cli.main(["search", "--dataset", str(data / "dataset.jsonl"), "--K", "1,2",
+                             "--dim", "4", "--dropout", "0", "--batch-size", "64",
+                             "--learning-rate", "1e300", "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert "val loss became non-finite: nan" in capsys.readouterr().err
+
     def test_a_config_file_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_bytes(b"users = 11\nvocab = 3\xe9\n")

@@ -250,7 +250,6 @@ class TestMakeBatches:
         # give the same shuffle, inputs, targets and negatives
         ds = planted_dataset()
         batches = tr.make_batches(ds, ds.split_examples("train"), 5, 2,
-                                  d.PopularityDist(ds.item_counts),
                                   np.random.default_rng(22), "train")
         assert len(batches) == 54
         first = batches[0]

@@ -1,5 +1,5 @@
 """Every module-level import and private module-level name in the package is
-used by the module itself."""
+used by the module itself, and each of two decisions has one owner."""
 
 import ast
 from pathlib import Path
@@ -73,3 +73,41 @@ def test_finds_an_unread_private_name():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_private_module_level_name_is_read(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def calls_of(source, name):
+    """(enclosing function, line) of each call of ``name``, bare or as an
+    attribute; a call outside any function has function None."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.append((function, child.lineno))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_finds_every_call_of_a_name():
+    source = "f()\ndef g():\n    nk.f(1)\n    def h():\n        return [f(x) for x in y]\n" \
+             "    return f\nclass C:\n    def m(self):\n        self._f()\n"
+    assert calls_of(source, "f") == [(None, 1), ("g", 3), ("h", 5)]
+
+
+def test_one_gradient_pass_and_one_popularity_source():
+    # train.backprop replays every batch loss (numkit's own grad_check aside),
+    # and only data.py builds a popularity distribution: the dataset's
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    replays = {(name, function) for name, source in sources.items() if name != "numkit.py"
+               for function, _ in calls_of(source, "backward")}
+    assert replays == {("train.py", "backprop")}
+    builders = {name for name, source in sources.items() if calls_of(source, "PopularityDist")}
+    assert builders == {"data.py"}

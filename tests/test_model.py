@@ -439,7 +439,15 @@ class TestFullForward:
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_full_model_grad_check_small(self):
-        cfg = toy_cfg(max_len=4, dim=3, seq_hidden=3, ch_hidden=3, windows=(1, 2))
+        assert self.full_model_grad_error("gelu") <= 1e-4
+
+    def test_full_relu_model_grad_check_small(self):
+        assert self.full_model_grad_error("relu") <= 1e-4
+
+    @staticmethod
+    def full_model_grad_error(activation):
+        cfg = toy_cfg(max_len=4, dim=3, seq_hidden=3, ch_hidden=3, windows=(1, 2),
+                      activation=activation)
         rng = np.random.default_rng(5)
         params = m.init_params(cfg, rng)
         alpha = m.init_arch(cfg)
@@ -456,7 +464,7 @@ class TestFullForward:
                                       nk.sum_all(nk.softplus(raw_neg))))
 
         leaves = [leaf for _, leaf in params.leaves()] + [alpha]
-        assert nk.grad_check(loss, leaves, h=1e-6) <= 1e-4
+        return nk.grad_check(loss, leaves, h=1e-6)
 
 
 class TestWithData:

@@ -130,6 +130,20 @@ class TestGelu:
         assert err <= 1e-6
 
 
+class TestRelu:
+    def test_forward(self):
+        np.testing.assert_array_equal(nk.relu(t([[-1.5, 0.0, 2.0]])).data, [[0.0, 0.0, 2.0]])
+
+    def test_gradient_away_from_the_kink(self):
+        # relu has no derivative at 0: every point sits at least 0.1 from it
+        rng = np.random.default_rng(3)
+        x = t(rng.uniform(0.1, 2.0, size=(4, 6)) * rng.choice([-1.0, 1.0], size=(4, 6)),
+              grad=True)
+        w = t(rng.normal(size=(4, 6)))
+        err = nk.grad_check(lambda: nk.sum_all(nk.mul(nk.relu(x), w)), [x])
+        assert err <= 1e-6
+
+
 def reference_gelu(x):
     """The closed-form exact GELU and its cdf, as plain numpy expressions."""
     cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))

@@ -37,7 +37,7 @@ class TestApproxInner:
         cfg = model_cfg(ds)
         searcher = se.Searcher(ds, cfg, search_cfg())
         batch = tr.make_batches(ds, ds.split_examples("train"), 16,
-                                1, searcher.dist, np.random.default_rng(0), "train")[0]
+                                1, np.random.default_rng(0), "train")[0]
         virtual = se.approx_inner(searcher.params, searcher.alpha, batch, 0.0,
                                   cfg, np.random.default_rng(1))
         for name, leaf in searcher.params.leaves():
@@ -56,7 +56,7 @@ class TestApproxInner:
         cfg = model_cfg(ds)
         searcher = se.Searcher(ds, cfg, search_cfg())
         batch = tr.make_batches(ds, ds.split_examples("train"), 16,
-                                1, searcher.dist, np.random.default_rng(0), "train")[0]
+                                1, np.random.default_rng(0), "train")[0]
         before = searcher.params.copy_data()
         v1 = se.approx_inner(searcher.params, searcher.alpha, batch, 0.05, cfg,
                              np.random.default_rng(1))
@@ -67,16 +67,38 @@ class TestApproxInner:
         for name, leaf in searcher.params.leaves():
             np.testing.assert_array_equal(leaf.data, before[name])
 
-    def test_nonfinite_gradient_names_parameter(self):
+    def test_nonfinite_gradient_names_parameter(self, monkeypatch):
+        # a finite loss whose replay leaves one gradient non-finite
+        ds = planted()
+        cfg = model_cfg(ds)
+        searcher = se.Searcher(ds, cfg, search_cfg())
+        batch = tr.make_batches(ds, ds.split_examples("train"), 16,
+                                1, np.random.default_rng(0), "train")[0]
+        real = nk.backward
+
+        def poisons_out_b(loss):
+            real(loss)
+            searcher.params.out_b.grad[0, 0] = np.nan
+
+        monkeypatch.setattr(nk, "backward", poisons_out_b)
+        with pytest.raises(nk.NumericalError, match="parameter 'out_b'"):
+            se.approx_inner(searcher.params, searcher.alpha, batch, 0.05, cfg,
+                            np.random.default_rng(1))
+
+    def test_nonfinite_loss_is_refused_before_the_replay(self, monkeypatch):
         ds = planted()
         cfg = model_cfg(ds)
         searcher = se.Searcher(ds, cfg, search_cfg())
         searcher.params.out_w.data[...] = np.inf
         batch = tr.make_batches(ds, ds.split_examples("train"), 16,
-                                1, searcher.dist, np.random.default_rng(0), "train")[0]
-        with np.errstate(invalid="ignore"), pytest.raises(nk.NumericalError, match="parameter"):
+                                1, np.random.default_rng(0), "train")[0]
+        replays = []
+        monkeypatch.setattr(nk, "backward", replays.append)
+        with (np.errstate(invalid="ignore"),
+              pytest.raises(nk.NumericalError, match="^train loss became non-finite: nan$")):
             se.approx_inner(searcher.params, searcher.alpha, batch, 0.05, cfg,
                             np.random.default_rng(1))
+        assert replays == []
 
 
 class TestSearchSteps:
@@ -85,9 +107,9 @@ class TestSearchSteps:
         cfg = model_cfg(ds)
         searcher = se.Searcher(ds, cfg, search_cfg())
         batches = tr.make_batches(ds, ds.split_examples("train"), 16, 1,
-                                  searcher.dist, np.random.default_rng(0), "train")
+                                  np.random.default_rng(0), "train")
         val = tr.make_batches(ds, ds.split_examples("val"), 16, 1,
-                              searcher.dist, np.random.default_rng(1), "val")
+                              np.random.default_rng(1), "val")
         w_before = searcher.params.copy_data()
         a_before = searcher.alpha.data.copy()
         searcher.arch_step(val[0], batches[0])
@@ -100,7 +122,7 @@ class TestSearchSteps:
         cfg = model_cfg(ds)
         searcher = se.Searcher(ds, cfg, search_cfg())
         batches = tr.make_batches(ds, ds.split_examples("train"), 16, 1,
-                                  searcher.dist, np.random.default_rng(0), "train")
+                                  np.random.default_rng(0), "train")
         a_before = searcher.alpha.data.copy()
         w_before = searcher.params.copy_data()
         searcher.weight_step(batches[0])
@@ -114,13 +136,30 @@ class TestSearchSteps:
         ds = planted()
         searcher = se.Searcher(ds, model_cfg(ds), search_cfg())
         (batch, *_) = tr.make_batches(ds, ds.split_examples("train"), 16, 1,
-                                      searcher.dist, np.random.default_rng(0), "train")
+                                      np.random.default_rng(0), "train")
         searcher.params.out_w.data[...] = np.inf
         before = searcher.params.copy_data()
         with np.errstate(invalid="ignore"), pytest.raises(nk.NumericalError, match="non-finite"):
             searcher.weight_step(batch)
         for name, leaf in searcher.params.leaves():
             np.testing.assert_array_equal(leaf.data, before[name])
+
+    def test_arch_step_refuses_a_nonfinite_val_loss_and_keeps_alpha(self):
+        # a lookahead at rate 1e300 sends the validation loss to NaN; the
+        # architecture pass refuses it, naming that loss, before alpha moves
+        log = d.synthesize_log(20, 10, 15, 2, 0.0, np.random.default_rng(1))
+        ds = d.build_sequences(log, max_len=6)
+        cfg = m.ModelConfig(num_items=ds.num_items, max_len=6, dim=4, windows=(1, 2),
+                            dropout=0.0)
+        searcher = se.Searcher(ds, cfg, search_cfg(learning_rate=1e300, batch_size=64))
+        (inner, *_), (val, *_) = (
+            tr.make_batches(ds, ds.split_examples(split), 64, 1, searcher.batch_rng, split)
+            for split in ("train", "val"))
+        before = searcher.alpha.data.copy()
+        with (np.errstate(all="ignore"),
+              pytest.raises(nk.NumericalError, match="^val loss became non-finite: nan$")):
+            searcher.arch_step(val, inner)
+        np.testing.assert_array_equal(searcher.alpha.data, before)
 
     def test_epoch_routes_splits_to_the_right_steps(self):
         ds = planted()
@@ -181,9 +220,9 @@ class TestSearchSteps:
         cfg = model_cfg(ds, windows=(2,))
         searcher = se.Searcher(ds, cfg, search_cfg(windows=(2,)))
         batches = tr.make_batches(ds, ds.split_examples("train"), 16, 1,
-                                  searcher.dist, np.random.default_rng(0), "train")
+                                  np.random.default_rng(0), "train")
         val = tr.make_batches(ds, ds.split_examples("val"), 16, 1,
-                              searcher.dist, np.random.default_rng(1), "val")
+                              np.random.default_rng(1), "val")
         grad, _ = searcher.alpha_gradient(val[0], batches[0])
         np.testing.assert_array_equal(grad, 0.0)
 
@@ -196,9 +235,9 @@ class TestSearchSteps:
             scfg.mode = mode
             searcher = se.Searcher(ds, cfg, scfg)
             batches = tr.make_batches(ds, ds.split_examples("train"), 16, 1,
-                                      searcher.dist, np.random.default_rng(0), "train")
+                                      np.random.default_rng(0), "train")
             val = tr.make_batches(ds, ds.split_examples("val"), 16, 1,
-                                  searcher.dist, np.random.default_rng(1), "val")
+                                  np.random.default_rng(1), "val")
             grads[mode], _ = searcher.alpha_gradient(val[0], batches[0])
         assert np.abs(grads["first_order"] - grads["one_step_unrolled"]).max() > 0
 
@@ -232,9 +271,9 @@ def taped_alpha_gradient(searcher, val_batch, inner_batch):
 
 def search_batches(ds, searcher):
     train = tr.make_batches(ds, ds.split_examples("train"), 16, 1,
-                            searcher.dist, np.random.default_rng(0), "train")
+                            np.random.default_rng(0), "train")
     val = tr.make_batches(ds, ds.split_examples("val"), 16, 1,
-                          searcher.dist, np.random.default_rng(1), "val")
+                          np.random.default_rng(1), "val")
     return val[0], train[0]
 
 
@@ -294,14 +333,14 @@ class TestAlphaOnlyPasses:
         ds = planted()
         searcher = mode_searcher(ds, "first_order")
         before = [(leaf.data, leaf.data.copy()) for _, leaf in searcher.params.leaves()]
-        real = se.batch_loss
+        real = tr.batch_loss
 
         def fails_when_frozen(batch, params, cfg, **kwargs):
             if not params.out_w.requires_grad:
                 raise RuntimeError("inside the frozen pass")
             return real(batch, params, cfg, **kwargs)
 
-        monkeypatch.setattr(se, "batch_loss", fails_when_frozen)
+        monkeypatch.setattr(tr, "batch_loss", fails_when_frozen)
         with pytest.raises(RuntimeError, match="frozen pass"):
             searcher.alpha_gradient(*search_batches(ds, searcher))
         for (name, leaf), (data, values) in zip(searcher.params.leaves(), before):

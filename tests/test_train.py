@@ -70,6 +70,20 @@ class TestAdam:
             w_ref -= 0.05 * mh / (math.sqrt(vh) + 1e-8)
         assert abs(named[0][1].data[0, 0] - w_ref) <= 1e-12
 
+    def test_weight_decay_adds_the_coupled_l2_gradient(self):
+        # L2 in the gradient that feeds both moments, not AdamW's decoupled
+        # decay; the reference repeats adam_update's order of operations
+        cfg = tr.TrainConfig(learning_rate=0.05, weight_decay=0.1)
+        named = self.one_param(2.0)
+        self.step(named, 0.3, tr.AdamState(), cfg)
+        g = 0.3 + 0.1 * 2.0
+        m_ref, v_ref = (1.0 - 0.9) * g, (1.0 - 0.999) * (g * g)
+        want = 2.0 - 0.05 * (m_ref / (1.0 - 0.9)) / (math.sqrt(v_ref / (1.0 - 0.999)) + 1e-8)
+        assert named[0][1].data[0, 0] == want
+        plain = self.one_param(2.0)
+        self.step(plain, 0.3, tr.AdamState(), tr.TrainConfig(learning_rate=0.05))
+        assert plain[0][1].data[0, 0] != want
+
 
 def planted_setup(users=40, vocab=30, seed=0, max_len=6, **model_kw):
     log = d.synthesize_log(users, 12, vocab, 2, 0.0, np.random.default_rng(seed))
@@ -180,7 +194,6 @@ class TestReleasedTape:
         ds, cfg = dropout_gelu_setup()
         params = m.init_params(cfg, np.random.default_rng(16))
         (batch,) = tr.make_batches(ds, ds.split_examples("train")[:32], 32, 1,
-                                   d.PopularityDist(ds.item_counts),
                                    np.random.default_rng(17), "train")
         rng = np.random.default_rng(18)
 
@@ -247,10 +260,9 @@ def test_gelu_fit_matches_the_closed_form_op_bit_for_bit(monkeypatch):
 class TestTrainingNegatives:
     def test_never_hits_user_history_or_padding(self):
         ds, _ = planted_setup(users=20, vocab=25)
-        dist = d.PopularityDist(ds.item_counts)
         examples = ds.split_examples("train")[:64]
         sequences = dict(ds.sequences())
-        draws = tr.sample_training_negatives(dist, ds.history_mask(examples.users), 3,
+        draws = tr.sample_training_negatives(ds.popularity, ds.history_mask(examples.users), 3,
                                              np.random.default_rng(14))
         for row, user in zip(draws, examples.users.tolist()):
             assert not set(row.tolist()) & set(sequences[user].tolist())
@@ -258,9 +270,8 @@ class TestTrainingNegatives:
 
     def test_batches_cover_every_example_once(self):
         ds, _ = planted_setup()
-        dist = d.PopularityDist(ds.item_counts)
         examples = ds.split_examples("train")
-        batches = tr.make_batches(ds, examples, 32, 1, dist, np.random.default_rng(15), "train")
+        batches = tr.make_batches(ds, examples, 32, 1, np.random.default_rng(15), "train")
         seen = sum((list(zip(map(tuple, b.inputs), b.targets)) for b in batches), [])
         expected = sorted((tuple(ex.input), ex.target) for ex in examples)
         assert sorted(seen) == expected
