@@ -407,7 +407,8 @@ def main(argv=None):
         cfg = resolve_config(args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        args.func(args, cfg, out)
+        with np.errstate(all="ignore"):  # every non-finite value meets a typed check
+            args.func(args, cfg, out)
         write_resolved(out, cfg)
         return EXIT_OK
     except UsageError as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +109,8 @@ def parse_interactions(source, fmt=None):
             ts = int(parts[col["timestamp"]])
         except ValueError:
             raise ParseError(f"non-integer timestamp {parts[col['timestamp']]!r}", lineno) from None
+        if not -2 ** 63 <= ts < 2 ** 63:
+            raise ParseError(f"timestamp {ts} is outside the signed 64-bit range", lineno)
         events.append((parts[col["user"]], parts[col["item"]], ts, None))
     return _indexed_log(events)
 
@@ -157,11 +159,11 @@ class ExampleTable:
     index, like iteration, yields one ``Example``.
     """
 
-    users: np.ndarray    # user index per example
-    targets: np.ndarray  # target item index per example
-    splits: np.ndarray   # code into SPLITS per example
-    starts: np.ndarray   # where each example's input window begins in padded
-    padded: np.ndarray
+    users: np.ndarray    # user index per example, int32
+    targets: np.ndarray  # target item index per example, int32
+    splits: np.ndarray   # code into SPLITS per example, int8
+    starts: np.ndarray   # where each example's input window begins in padded, int32
+    padded: np.ndarray   # int32
     max_len: int
 
     def __len__(self):
@@ -180,8 +182,8 @@ class ExampleTable:
         return map(self.__getitem__, range(len(self)))
 
     def inputs(self):
-        """The B×T matrix of input windows, in one gather."""
-        return self.padded[self.starts[:, None] + np.arange(self.max_len)]
+        """The B×T matrix of input windows, in one gather, as ``np.intp``."""
+        return self.padded[self.starts[:, None] + np.arange(self.max_len)].astype(np.intp)
 
 
 @dataclass
@@ -261,23 +263,26 @@ class SequenceDataset:
                 if len(item_counts) != num_items + 1:
                     raise DataError(f"{path}: item_counts has {len(item_counts)} entries "
                                     f"for {num_items} items; expected {num_items + 1}")
-                sequences = {}
+                sequences = {}  # user -> items, each line's checked list as an int32 array
                 for line in fh:
                     rec = json.loads(line)
-                    user, items = rec["user"], list(rec["items"])
-                    if type(user) is not int or user < 0 or user in sequences:
+                    user, items = rec["user"], rec["items"]
+                    if type(user) is not int or not 0 <= user < 2 ** 31 or user in sequences:
                         raise DataError(f"{path}: user {user!r} is not an integer >= 0 "
-                                        f"or appears twice")
+                                        f"and < 2^31, or appears twice")
                     if not all(type(i) is int and 1 <= i <= num_items for i in items):
                         raise DataError(f"{path}: user {user} has a non-integer item "
                                         f"or one outside 1..{num_items}")
-                    sequences[user] = items
+                    sequences[user] = np.fromiter(items, dtype=np.int32, count=len(items))
                 users = sorted(sequences)
                 lengths = np.array([len(sequences[u]) for u in users], dtype=np.intp)
-                items = np.fromiter(chain.from_iterable(map(sequences.get, users)),
-                                    dtype=np.intp, count=lengths.sum())
-                return _dataset(np.array(users, dtype=np.intp), lengths, items,
-                                max_len, num_items, item_counts)
+                # popped, so no user's array outlives the one concatenation
+                items = np.concatenate([np.empty(0, np.int32), *map(sequences.pop, users)])
+                try:
+                    return _dataset(np.array(users, dtype=np.intp), lengths, items,
+                                    max_len, num_items, item_counts)
+                except DataError as exc:  # the size refusal, which does not know the file
+                    raise DataError(f"{path}: {exc}") from None
             except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: malformed dataset file: {exc!r}") from None
 
@@ -288,24 +293,32 @@ def _run_starts(lengths):
 
 
 def _dataset(user_ids, lengths, items, max_len, num_items, item_counts):
-    """The dataset of the users ``user_ids`` (ascending) whose items, oldest
-    first, are the consecutive runs of ``items`` of these ``lengths``.
+    """The dataset of the users ``user_ids`` (ascending, each < 2^31) whose
+    int32 items, oldest first, are the consecutive runs of ``items`` of these
+    ``lengths``.
 
     Each user's run goes into ``padded`` after ``max_len`` PADs. A user with
     n >= 3 items gives n - 1 examples, users in id order: the prefixes before
     seq[1] .. seq[n-3] (train), seq[n-2] (val) and seq[n-1] (test). Linear in
-    the number of items.
+    the number of items; every example column is int32 but ``splits`` (int8).
     """
+    size = len(items) + max_len * len(lengths)
+    if size >= 2 ** 31:
+        raise DataError(f"{len(items)} items and {len(lengths)} users of max_len {max_len} "
+                        f"need {size} padded entries, past the int32 limit of 2^31 - 1")
     runs = _run_starts(lengths)
     padded = np.insert(items, np.repeat(runs, max_len), PAD)
     blocks = runs + max_len * np.arange(len(lengths))  # where each user's PADs begin in padded
 
     per_user = np.where(lengths >= 3, lengths - 1, 0)
-    prefix = np.arange(per_user.sum()) - np.repeat(_run_starts(per_user), per_user) + 1
-    starts = np.repeat(blocks, per_user) + prefix  # the window ends right before seq[prefix]
-    splits = np.maximum(prefix - np.repeat(lengths - 3, per_user), 0)  # train 0, val 1, test 2
-    examples = ExampleTable(np.repeat(user_ids, per_user), padded[starts + max_len], splits,
-                            starts, padded, max_len)
+    # a user's j-th example (from 0) ends its window right before seq[j + 1]
+    starts = np.repeat((blocks - _run_starts(per_user) + 1).astype(np.int32), per_user)
+    starts += np.arange(len(starts), dtype=np.int32)
+    ends = np.cumsum(per_user)[per_user > 0]
+    splits = np.zeros(len(starts), dtype=np.int8)  # train 0; each user's last two val 1, test 2
+    splits[ends - 2], splits[ends - 1] = 1, 2
+    examples = ExampleTable(np.repeat(user_ids.astype(np.int32), per_user),
+                            padded[max_len:][starts], splits, starts, padded, max_len)
     return SequenceDataset(max_len, num_items, examples, item_counts,
                            user_ids, blocks + max_len, lengths)
 
@@ -315,15 +328,18 @@ def build_sequences(log, max_len):
     users with fewer than 3 events are dropped."""
     if max_len < 2:
         raise UsageError(f"max_len must be >= 2, got {max_len}")
-    ui, ii = log.user_index, log.item_index
-    users = np.array([ui[ev[0]] for ev in log.events], dtype=np.intp)
-    items = np.array([ii[ev[1]] for ev in log.events], dtype=np.intp)
-    stamps = np.array([ev[2] for ev in log.events])
+    events, n = log.events, len(log.events)
+    users = np.fromiter(map(log.user_index.__getitem__, map(itemgetter(0), events)),
+                        dtype=np.int32, count=n)
+    items = np.fromiter(map(log.item_index.__getitem__, map(itemgetter(1), events)),
+                        dtype=np.int32, count=n)
+    stamps = np.fromiter(map(itemgetter(2), events), dtype=np.int64, count=n)
+    counts = np.bincount(items, minlength=log.num_items + 1)
+    lengths = np.bincount(users, minlength=log.num_users + 1)
     # by user, then timestamp; lexsort is stable, so ties keep file order
     by_user = items[np.lexsort((stamps, users))]
-    lengths = np.bincount(users, minlength=log.num_users + 1)
+    del users, items, stamps  # each column is past its last use
     kept = lengths >= 3
-    counts = np.bincount(items, minlength=log.num_items + 1)
     return _dataset(np.flatnonzero(kept), lengths[kept], by_user[np.repeat(kept, lengths)],
                     max_len, log.num_items, counts)
 

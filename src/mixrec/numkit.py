@@ -133,8 +133,6 @@ class Tensor2:
 
     def __init__(self, data, requires_grad=False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
         if arr.ndim != 2:
             raise ShapeError(f"Tensor2 requires 2-D data, got ndim={arr.ndim}")
         self.data = arr

@@ -80,8 +80,8 @@ def adam_update(named_params, state, cfg):
 
 @dataclass
 class Batch:
-    inputs: np.ndarray     # (B, T) item indices
-    targets: np.ndarray    # (B,)
+    inputs: np.ndarray     # (B, T) item indices, np.intp
+    targets: np.ndarray    # (B,), np.intp
     negatives: np.ndarray  # (B, n_neg)
     split: str
 
@@ -113,7 +113,7 @@ def make_batches(dataset, examples, batch_size, n_neg, rng, split):
         chunk = examples[order[start:start + batch_size]]
         owned = dataset.history_mask(chunk.users)
         negatives = sample_training_negatives(dataset.popularity, owned, n_neg, rng)
-        batches.append(Batch(chunk.inputs(), chunk.targets, negatives, split))
+        batches.append(Batch(chunk.inputs(), chunk.targets.astype(np.intp), negatives, split))
     return batches
 
 

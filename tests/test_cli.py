@@ -22,6 +22,15 @@ FAST = ["--max-len", "5", "--dim", "8", "--seq-hidden", "8", "--ch-hidden", "8",
         "--eval-negatives", "8"]
 
 
+def run_module(*argv):
+    """``python -m mixrec`` with these arguments, in a fresh process."""
+    src = str(Path(mixrec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "mixrec", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 # The CLI's pinned surface: each command's option strings, the config a default
 # run archives, and one checkpoint header. Changing any of them changes what
 # users type or what earlier run directories hold.
@@ -336,19 +345,29 @@ class TestDispatchAndExitCodes:
         assert code == 3
         assert "max_len=5 but the dataset uses max_len=6" in capsys.readouterr().err
 
-    def test_a_nonfinite_search_loss_is_a_numerical_error(self, tmp_path, capsys):
+    def test_a_nonfinite_search_loss_is_a_numerical_error(self, tmp_path):
         # a lookahead at rate 1e300 sends the validation loss to NaN, and the
-        # architecture pass refuses it before alpha moves
+        # architecture pass refuses it before alpha moves; numpy's warnings
+        # from inside the library stay off the user's terminal
         data = tmp_path / "data"
         assert cli.main(["synth", "--users", "20", "--len", "10", "--vocab", "15", "--kstar",
                          "2", "--max-len", "6", "--seed", "1", "--out", str(data)]) == 0
-        capsys.readouterr()
-        with np.errstate(all="ignore"):
-            code = cli.main(["search", "--dataset", str(data / "dataset.jsonl"), "--K", "1,2",
-                             "--dim", "4", "--dropout", "0", "--batch-size", "64",
-                             "--learning-rate", "1e300", "--out", str(tmp_path / "out")])
-        assert code == 4
-        assert "val loss became non-finite: nan" in capsys.readouterr().err
+        done = run_module("search", "--dataset", str(data / "dataset.jsonl"), "--K", "1,2",
+                          "--dim", "4", "--dropout", "0", "--batch-size", "64",
+                          "--learning-rate", "1e300", "--out", str(tmp_path / "out"))
+        assert done.returncode == 4
+        assert "val loss became non-finite: nan" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+        assert done.stderr.count("\n") == 1  # the error line alone
+
+    def test_a_timestamp_outside_64_bits_is_a_data_error(self, tmp_path, capsys):
+        log = tmp_path / "log.tsv"
+        log.write_text("u1\ta\t1\nu1\tb\t2\nu1\tc\t9223372036854775808\n")
+        code = cli.main(["ingest", "--input", str(log), "--min-interactions", "1",
+                         "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "line 3: timestamp 9223372036854775808 is outside the signed 64-bit range" \
+            in capsys.readouterr().err
 
     def test_a_config_file_that_is_not_utf8_is_a_usage_error(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
@@ -373,11 +392,7 @@ class TestDispatchAndExitCodes:
         assert catching == {"main", "_coerce", "_parse_windows", "read_config_file"}
 
     def test_python_dash_m_runs_the_cli(self):
-        src = str(Path(mixrec.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-m", "mixrec", "--help"], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = run_module("--help")
         assert done.returncode == 0
         assert done.stderr == ""
         assert "synth" in done.stdout

@@ -68,6 +68,20 @@ class TestParsing:
         with pytest.raises(d.ParseError, match="line 1"):
             log_from_rows([("a", "x", "noon")])
 
+    def test_timestamps_span_the_signed_64_bit_range(self):
+        rows = [("u", "a", 2 ** 63 - 1), ("u", "b", -2 ** 63), ("u", "c", 2 ** 63 - 2),
+                ("u", "d", 0)]
+        log = log_from_rows(rows)
+        assert [ev[2] for ev in log.events] == [r[2] for r in rows]
+        ds = d.build_sequences(log, max_len=3)
+        assert user_sequences(ds) == {1: [2, 4, 3, 1]}  # b, d, c, a
+
+    @pytest.mark.parametrize("stamp", [2 ** 63, -2 ** 63 - 1, 2 ** 64])
+    def test_a_timestamp_outside_64_bits_is_refused(self, stamp):
+        # numpy would read such a stamp as a float or an object, not in order
+        with pytest.raises(d.ParseError, match=f"line 2: timestamp {stamp} is outside"):
+            log_from_rows([("u", "a", 2 ** 63 - 1), ("u", "c", stamp)])
+
     def test_empty_input_gives_empty_log(self):
         log = d.parse_interactions(io.StringIO(""))
         assert log.events == [] and log.num_users == 0
@@ -209,23 +223,51 @@ class TestBuildSequences:
             part.history_mask(np.array([10**9 + 1, 7, 10**9, 40])),
             mask_of([[1, 2], [2], [3, 1, 2], []], 5))
 
-    def test_the_build_keeps_under_56_bytes_per_event(self):
-        # padded holds each item once (8 B) and four 8 B example columns;
-        # per-user lists of Python ints kept about 80 B per event in all
+    @staticmethod
+    def memory_log():
+        """300 users of 3 to 400 events over 2,000 items."""
         rng = np.random.default_rng(0)
         events = [(f"u{u}", str(i), t, None)
                   for u, n in enumerate(rng.integers(3, 400, size=300).tolist())
                   for t, i in enumerate(rng.integers(1, 2000, size=n).tolist())]
-        log = d._indexed_log(events)
+        return d._indexed_log(events)
+
+    @staticmethod
+    def traced(fn):
+        """``fn()``, and the bytes it kept and the peak it reached above
+        what was allocated before it, under ``tracemalloc``."""
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            ds = d.build_sequences(log, max_len=50)
-            kept = tracemalloc.get_traced_memory()[0] - before
+            out = fn()
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(ds.examples) == len(events) - 300
-        assert kept / len(events) < 56
+        return out, kept - before, peak - before
+
+    def test_the_build_keeps_under_24_bytes_per_event(self):
+        # padded holds each item once (4 B) and the example columns take
+        # 13 B (three int32, one int8); 8 B columns kept about 42 B per event
+        log = self.memory_log()
+        ds, kept, _ = self.traced(lambda: d.build_sequences(log, max_len=50))
+        assert len(ds.examples) == len(log.events) - 300
+        assert kept / len(log.events) < 24
+
+    def test_the_build_peaks_under_48_bytes_per_event(self):
+        # three typed columns of the log and the sort order, freed as they
+        # fall out of use; per-event lists and int64 columns peaked near 98 B
+        log = self.memory_log()
+        _, _, peak = self.traced(lambda: d.build_sequences(log, max_len=50))
+        assert peak / len(log.events) < 48
+
+    def test_load_peaks_under_51_bytes_per_event(self, tmp_path):
+        # each line's items become an int32 array once checked; a dict of
+        # Python-int lists peaked near 102 B per event
+        log = self.memory_log()
+        d.build_sequences(log, max_len=50).save(tmp_path / "ds.jsonl")
+        ds, _, peak = self.traced(lambda: d.SequenceDataset.load(tmp_path / "ds.jsonl"))
+        assert len(ds.examples) == len(log.events) - 300
+        assert peak / len(log.events) < 51
 
     def saved_lines(self, tmp_path):
         rows = [(f"u{u}", f"i{(u * 7 + t) % 9}", t) for u in range(4) for t in range(5)]
@@ -251,6 +293,7 @@ class TestBuildSequences:
     @pytest.mark.parametrize("user, message", [
         (2.5, "user 2.5 is not an integer >= 0"), (True, "user True is not"),
         (-1, "user -1 is not"), (None, "appears twice"),
+        (2 ** 31, "user 2147483648 is not an integer >= 0 and < 2"),
     ], ids=str)
     def test_load_rejects_a_bad_or_repeated_user(self, tmp_path, user, message):
         path, header, users = self.saved_lines(tmp_path)
@@ -258,6 +301,24 @@ class TestBuildSequences:
         self.write_lines(path, header, users)
         with pytest.raises(d.DataError, match=message):
             d.SequenceDataset.load(path)
+
+    def test_load_refuses_a_padded_array_of_2_to_the_31_entries(self, tmp_path):
+        path, header, users = self.saved_lines(tmp_path)
+        events = sum(len(rec["items"]) for rec in users)
+        assert (2 ** 31 - events) % len(users) == 0
+        header["max_len"] = (2 ** 31 - events) // len(users)  # exactly 2^31 entries
+        self.write_lines(path, header, users)
+        with pytest.raises(d.DataError, match=f"need {2 ** 31} padded entries") as info:
+            d.SequenceDataset.load(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_the_largest_user_id_loads(self, tmp_path):
+        path, header, users = self.saved_lines(tmp_path)
+        users[-1]["user"] = 2 ** 31 - 1
+        self.write_lines(path, header, users)
+        ds = d.SequenceDataset.load(path)
+        assert ds.examples.users[-1] == 2 ** 31 - 1
+        assert ds.user_ids[-1] == 2 ** 31 - 1
 
     @pytest.mark.parametrize("size", [2, 9, 11])
     def test_load_rejects_item_counts_of_the_wrong_length(self, tmp_path, size):
@@ -297,6 +358,11 @@ class TestBuildSequences:
         assert list(ds.examples) == want
         np.testing.assert_array_equal(ds.item_counts, counts)
         assert ds.item_counts.dtype == counts.dtype
+        table = ds.examples
+        for column in (table.users, table.targets, table.starts, table.padded):
+            assert column.dtype == np.int32
+        assert table.splits.dtype == np.int8
+        assert table.inputs().dtype == np.intp
         assert user_sequences(ds) == sequences
         users = np.array(sorted(sequences), dtype=np.intp)[::-1]
         np.testing.assert_array_equal(ds.history_mask(users),

@@ -24,6 +24,15 @@ def t(data, grad=False):
     return nk.Tensor2(data, requires_grad=grad)
 
 
+class TestTensor2:
+    @pytest.mark.parametrize("data", [[1.0, 2.0, 3.0], np.zeros(4), 5.0, np.zeros((2, 2, 2))],
+                             ids=["list-1d", "array-1d", "scalar", "3d"])
+    def test_data_that_is_not_2d_is_refused(self, data):
+        # a row vector is written [[...]]; nothing reshapes 1-D data into one
+        with pytest.raises(nk.ShapeError, match="requires 2-D data"):
+            t(data)
+
+
 class TestMatmul:
     def test_identity(self):
         a = t(np.eye(2))
