@@ -45,7 +45,7 @@ DEFAULTS = {
     "delimiter": "\t", "format": "generic", "header": False, "min_interactions": 10,
     # synthetic generator
     "users": 200, "len": 30, "vocab": 50, "kstar": 2, "noise": 0.0,
-    # padded input length; a command that reads a dataset takes the dataset's
+    # padded length of the datasets ingest and synth build; others take the dataset's
     "max_len": 50,
     # search
     "K": "1,2,4", "search_mode": "first_order", "k": 0,
@@ -58,7 +58,9 @@ DEFAULTS = {
        for f in fields(cls) if f.default is not MISSING and f.name not in ("windows", "mode")},
 }
 
-MODEL_FLAGS = tuple(f.name for f in fields(ModelConfig) if f.name not in ("num_items", "windows"))
+# the dataset sets num_items and max_len, and --K or --k the windows
+MODEL_FLAGS = tuple(f.name for f in fields(ModelConfig)
+                    if f.name not in ("num_items", "max_len", "windows"))
 TRAIN_FLAGS = tuple(f.name for f in fields(TrainConfig))
 
 
@@ -117,12 +119,11 @@ def write_resolved(outdir, cfg):
     (outdir / "config.resolved").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_windows(text):
+def _parse_windows(cfg, key):
     try:
-        windows = tuple(int(part) for part in str(text).split(","))
+        return tuple(int(part) for part in str(cfg[key]).split(","))
     except ValueError:
-        raise UsageError(f"bad window list {text!r}; expected e.g. 1,2,4") from None
-    return windows
+        raise UsageError(f"config key {key}: expected e.g. 1,2,4, got {cfg[key]!r}") from None
 
 
 def _config(cls, cfg, **given):
@@ -184,7 +185,7 @@ def cmd_synth(args, cfg, out):
 
 def cmd_search(args, cfg, out):
     dataset = _load_dataset(args.dataset, cfg)
-    windows = _parse_windows(cfg["K"])
+    windows = _parse_windows(cfg, "K")
     model_cfg = _model_config(cfg, dataset.num_items, windows)
     search_cfg = _search_config(cfg, windows)
     result, _ = run_search(dataset, model_cfg, search_cfg)
@@ -195,12 +196,14 @@ def cmd_search(args, cfg, out):
 
 
 def _resolve_fixed_window(args, cfg):
-    if args.search_result:
+    """The one window to train: ``--k``, or ``train``'s ``--search-result``."""
+    if getattr(args, "search_result", None):
         if cfg["k"] > 0:  # the archived k would not be the window that ran
             raise UsageError("give --k or --search-result, not both")
         return SearchResult.load(args.search_result).selected_k
     if cfg["k"] <= 0:
-        raise UsageError("train needs --k WINDOW or --search-result FILE")
+        other = " or --search-result FILE" if args.command == "train" else ""
+        raise UsageError(f"{args.command} needs --k WINDOW{other}")
     return cfg["k"]
 
 
@@ -241,10 +244,8 @@ def cmd_eval(args, cfg, out):
     print(json.dumps(record, sort_keys=True))
 
 
-def _fit_and_rank_test(dataset, run):
-    """Train a fixed-window model on the ``run`` settings, then rank the
-    test split; returns the validation and test metrics."""
-    window = run["k"] if run["k"] > 0 else _parse_windows(run["K"])[0]
+def _fit_and_rank_test(dataset, run, window):
+    """Fit a ``window`` model on the ``run`` settings; its val and test metrics."""
     model_cfg = _model_config(run, dataset.num_items, (window,))
     train_cfg = _config(TrainConfig, run)
     params = init_params(model_cfg, np.random.default_rng(train_cfg.seed))
@@ -258,10 +259,11 @@ def _fit_and_rank_test(dataset, run):
 
 def cmd_sweep(args, cfg, out):
     dataset = _load_dataset(args.dataset, cfg)
+    window = _resolve_fixed_window(args, cfg)
     records = []
-    for layers in _parse_windows(cfg["sweep_layers"]):
-        for dim in _parse_windows(cfg["sweep_dims"]):
-            metrics = _fit_and_rank_test(dataset, dict(cfg, layers=layers, dim=dim))
+    for layers in _parse_windows(cfg, "sweep_layers"):
+        for dim in _parse_windows(cfg, "sweep_dims"):
+            metrics = _fit_and_rank_test(dataset, dict(cfg, layers=layers, dim=dim), window)
             records.append({"layers": layers, "dim": dim, **metrics})
             print(json.dumps(records[-1], sort_keys=True))
     write_trace(out / "sweep.jsonl", records)
@@ -274,20 +276,21 @@ ABLATIONS = (("no_sequence_mixer", "disable_sequence_mixer"),
 
 def cmd_ablate(args, cfg, out):
     dataset = _load_dataset(args.dataset, cfg)
+    window = _resolve_fixed_window(args, cfg)
     # each flag selects its variant; no flag selects the whole table
     selected = [(name, key) for name, key in ABLATIONS if getattr(args, key)] or ABLATIONS
     base = dict(cfg, **{key: False for _, key in ABLATIONS})
     runs = [("full", base)] + [(name, dict(base, **{key: True})) for name, key in selected]
     records = []
     for name, run in runs:
-        records.append({"variant": name, **_fit_and_rank_test(dataset, run)})
+        records.append({"variant": name, **_fit_and_rank_test(dataset, run, window)})
         print(json.dumps(records[-1], sort_keys=True))
     write_trace(out / "ablate.jsonl", records)
 
 
 def cmd_oracle(args, cfg, out):
     dataset = _load_dataset(args.dataset, cfg)
-    windows = _parse_windows(cfg["K"])
+    windows = _parse_windows(cfg, "K")
     model_cfg = _model_config(cfg, dataset.num_items, windows)
     search_cfg = _search_config(cfg, windows)
     result = exhaustive_oracle(dataset, model_cfg, search_cfg)
@@ -333,7 +336,7 @@ def fit_power_law(xs, ys):
 
 
 def cmd_bench(args, cfg, out):
-    lens = _parse_windows(cfg["bench_lens"])
+    lens = _parse_windows(cfg, "bench_lens")
     records = forward_wall_times(lens, cfg, cfg["reps"], cfg["seed"])
     exponent = fit_power_law([r["T"] for r in records],
                              [r["median_ms"] for r in records])

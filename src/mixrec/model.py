@@ -3,7 +3,7 @@
 A mixer layer is a sequence-mixer (an MLP across positions, applied per
 embedding channel on the transposed table) followed by a channel-mixer (an
 MLP across embedding channels, applied per position), each with a residual
-connection and layer normalization.
+connection and a layer normalization of each position over its channels.
 
 The long-term module runs a mixer stack over the full padded window; each
 short-term candidate runs its own stack over the last k positions. During
@@ -29,6 +29,8 @@ from .data import PAD, DataError, UsageError
 
 CHECKPOINT_MAGIC = b"MIXREC-CKPT"
 CHECKPOINT_VERSION = 1
+# config keys of earlier releases, each at the one value today's model implies
+RETIRED_CONFIG = {"feature_vocabs": [], "norm_axis": "channel"}
 LN_EPS = 1e-5
 
 
@@ -39,7 +41,7 @@ class DataFormatError(DataError):
 @dataclass
 class ModelConfig:
     num_items: int                   # real items; embedding table has num_items + 1 rows
-    max_len: int                     # padded input length T
+    max_len: int                     # padded input length T, the dataset's
     dim: int = 128                   # embedding width D
     seq_hidden: int = 512            # sequence-mixer hidden size
     ch_hidden: int = 512             # channel-mixer hidden size
@@ -47,7 +49,6 @@ class ModelConfig:
     windows: tuple = (4,)            # short-term candidate lengths, strictly increasing
     dropout: float = 0.5
     activation: str = "gelu"         # or "relu"
-    norm_axis: str = "channel"       # or "sequence" (normalize along positions instead)
     disable_sequence_mixer: bool = False
     disable_channel_mixer: bool = False
 
@@ -68,8 +69,6 @@ class ModelConfig:
             raise UsageError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.activation not in ("gelu", "relu"):
             raise UsageError(f"unknown activation {self.activation!r}")
-        if self.norm_axis not in ("channel", "sequence"):
-            raise UsageError(f"unknown norm_axis {self.norm_axis!r}")
 
 
 @dataclass
@@ -194,12 +193,8 @@ def sequence_mixer_block(x, layer, cfg, blocks, rng=None, final_row=False):
     rows = _last_rows(x, blocks, block_len, 1) if final_row else x
     if cfg.disable_sequence_mixer:
         return rows
-    if cfg.norm_axis == "channel":
-        normed = nk.layer_norm(x, layer.seq_gamma, layer.seq_beta, LN_EPS)
-        per_channel = nk.batch_transpose(normed, blocks)       # (blocks*D) x T
-    else:
-        # literal per-channel normalization along the sequence axis (affine-free)
-        per_channel = nk.layer_norm(nk.batch_transpose(x, blocks), eps=LN_EPS)
+    normed = nk.layer_norm(x, layer.seq_gamma, layer.seq_beta, LN_EPS)
+    per_channel = nk.batch_transpose(normed, blocks)           # (blocks*D) x T
     w_out = nk.take_rows(layer.seq_w2, [block_len - 1]) if final_row else layer.seq_w2
     mixed = _mixer_mlp(per_channel, layer.seq_w1, w_out, cfg, rng)
     return nk.add(rows, nk.batch_transpose(mixed, blocks))
@@ -301,14 +296,12 @@ def forward_hidden(inputs, params, cfg, alpha=None, rng=None):
 def score_items(hidden, candidate_items, params):
     """Dot-product scores of hidden rows against candidate item embeddings.
 
-    ``candidate_items`` is one index list shared by every row, or a B x C
-    matrix of per-row candidates. Returns the B x C raw scores.
+    ``candidate_items`` is a B x C matrix: row b holds the candidates of
+    hidden row b. Returns the B x C raw scores.
     """
     cand = np.asarray(candidate_items, dtype=np.intp)
-    if cand.size == 0:
-        raise ValueError("score_items: empty candidate list")
-    if cand.ndim == 1:
-        cand = np.tile(cand, (hidden.rows, 1))
+    if cand.ndim != 2 or cand.size == 0:
+        raise ValueError(f"score_items: need a non-empty B x C candidate matrix, got {cand.shape}")
     b, c = cand.shape
     emb = nk.take_rows(params.item_embedding, cand.reshape(-1))
     rep = nk.repeat_rows(hidden, c)
@@ -336,7 +329,8 @@ def save_checkpoint(path, params, cfg):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint, validating magic, version, and every array shape."""
+    """Read a checkpoint, validating magic, version, config keys (one that
+    ``ModelConfig`` lacks only as ``RETIRED_CONFIG`` lists it), and every array shape."""
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
         if magic != CHECKPOINT_MAGIC:
@@ -348,6 +342,9 @@ def load_checkpoint(path):
                 raise DataFormatError(f"{path}: unsupported checkpoint version "
                                       f"{header.get('version')}")
             c = header["config"]
+            for key in sorted(c.keys() - {f.name for f in fields(ModelConfig)}):
+                if key not in RETIRED_CONFIG or c[key] != RETIRED_CONFIG[key]:
+                    raise DataFormatError(f"{path}: config {key} = {c[key]!r} is not this model's")
             cfg = ModelConfig(**{f.name: c[f.name] for f in fields(ModelConfig)})
             arrays = [(name, rows, cols) for name, rows, cols in header["arrays"]]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -132,11 +132,10 @@ class Tensor2:
     __slots__ = ("data", "_slot")
 
     def __init__(self, data, requires_grad=False):
-        arr = np.ascontiguousarray(data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError(f"Tensor2 requires 2-D data, got ndim={arr.ndim}")
-        self.data = arr
-        self._slot = _Slot(np.zeros_like(arr)) if requires_grad else None
+        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        if self.data.ndim != 2:  # the input's ndim: ascontiguousarray lifts 0-D to 1-D
+            raise ShapeError(f"Tensor2 requires 2-D data, got ndim={np.ndim(data)}")
+        self._slot = _Slot(np.zeros_like(self.data)) if requires_grad else None
 
     @property
     def requires_grad(self):

@@ -383,7 +383,7 @@ class TestCriterion10Determinism:
         return "\n".join(out)
 
     def test_cli_runs_reproduce_bitwise(self, tmp_path):
-        fast = ["--max-len", "6", "--dim", "8", "--seq-hidden", "8",
+        fast = ["--dim", "8", "--seq-hidden", "8",
                 "--ch-hidden", "8", "--layers", "1", "--dropout", "0",
                 "--max-epochs", "3", "--batch-size", "32",
                 "--eval-negatives", "10", "--seed", "11"]

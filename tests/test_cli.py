@@ -17,7 +17,7 @@ from mixrec import cli, model
 from mixrec.train import TrainConfig
 
 
-FAST = ["--max-len", "5", "--dim", "8", "--seq-hidden", "8", "--ch-hidden", "8",
+FAST = ["--dim", "8", "--seq-hidden", "8", "--ch-hidden", "8",
         "--layers", "1", "--dropout", "0", "--max-epochs", "2", "--batch-size", "32",
         "--eval-negatives", "8"]
 
@@ -34,9 +34,8 @@ def run_module(*argv):
 # The CLI's pinned surface: each command's option strings, the config a default
 # run archives, and one checkpoint header. Changing any of them changes what
 # users type or what earlier run directories hold.
-_MODEL_OPTIONS = {"--max-len", "--dim", "--seq-hidden", "--ch-hidden", "--layers", "--dropout",
-                  "--activation", "--norm-axis", "--disable-sequence-mixer",
-                  "--disable-channel-mixer"}
+_MODEL_OPTIONS = {"--dim", "--seq-hidden", "--ch-hidden", "--layers", "--dropout",
+                  "--activation", "--disable-sequence-mixer", "--disable-channel-mixer"}
 _TRAIN_OPTIONS = {"--learning-rate", "--beta1", "--beta2", "--eps-adam", "--batch-size",
                   "--max-epochs", "--patience", "--negatives-per-positive", "--weight-decay",
                   "--eval-negatives", "--eval-cutoff", "--seed"}
@@ -87,7 +86,6 @@ max_len = 50
 min_interactions = 10
 negatives_per_positive = 1
 noise = 0.0
-norm_axis = channel
 patience = 10
 reps = 50
 search_mode = first_order
@@ -112,7 +110,7 @@ CHECKPOINT_HEADER = (
     '["cand.1.0.ch_beta", 1, 3], ["out_w", 3, 6], ["out_b", 1, 3]], '
     '"config": {"activation": "relu", "ch_hidden": 2, "dim": 3, "disable_channel_mixer": true, '
     '"disable_sequence_mixer": false, "dropout": 0.25, "layers": 1, "max_len": 5, '
-    '"norm_axis": "sequence", "num_items": 7, "seq_hidden": 4, "windows": [1, 3]}, '
+    '"num_items": 7, "seq_hidden": 4, "windows": [1, 3]}, '
     '"version": 1}')
 
 
@@ -192,6 +190,17 @@ class TestDispatchAndExitCodes:
                          "--out", str(tmp_path / "out")] + FAST)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["sweep", "ablate"])
+    def test_a_fixed_window_command_without_k_is_usage_error(self, tmp_path, capsys, command):
+        # neither takes --K, so no window list could stand in for --k
+        dataset = synth(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = cli.main([command, "--dataset", str(dataset), "--out", str(out)] + FAST)
+        assert code == 2
+        assert f"{command} needs --k WINDOW" in capsys.readouterr().err
+        assert not any(out.glob("*"))
+
     @pytest.mark.parametrize("command, conf, flags", [
         ("train", "dim = abc\n", []),
         ("train", "learning_rate = fast\n", []),
@@ -268,7 +277,6 @@ class TestDispatchAndExitCodes:
         (["ingest", "--config", "{conf}"], "format = bogus\n", "format"),
         (["ingest", "--format", "bogus"], "", "'bogus'"),
         (["train", "--activation", "tanh"], "", "'tanh'"),
-        (["train", "--norm-axis", "diagonal"], "", "'diagonal'"),
         (["search", "--search-mode", "bogus"], "", "'bogus'"),
         (["eval", "--split", "train"], "", "'train'"),
         (["synth", "--noise", "1.5"], "", "noise_rate"),
@@ -280,21 +288,27 @@ class TestDispatchAndExitCodes:
         (["search", "--arch-lr", "nan"], "", "arch_lr"),
         (["search", "--arch-lr", "inf"], "", "arch_lr"),
         (["synth", "--seed", "-1"], "", "seed"),
+        (["sweep", "--k", "2", "--sweep-dims", "3,x"], "", "config key sweep_dims: "
+                                                           "expected e.g. 1,2,4, got '3,x'"),
+        (["sweep", "--k", "2", "--sweep-layers", "1,x"], "", "config key sweep_layers: "),
+        (["bench", "--bench-lens", "8,x"], "", "config key bench_lens: "
+                                               "expected e.g. 1,2,4, got '8,x'"),
     ], ids=["synth-max-len-1", "ingest-max-len-1", "ingest-min-interactions-0",
             "search-mode-in-file", "search-window-0", "empty-delimiter-flag",
             "empty-delimiter-in-file", "unknown-format-in-file", "format-flag",
-            "activation-flag", "norm-axis-flag", "search-mode-flag", "split-flag",
+            "activation-flag", "search-mode-flag", "split-flag",
             "synth-noise-1.5", "synth-kstar-0", "synth-kstar-40", "synth-len-2",
             "synth-vocab-2", "search-arch-lr--1", "search-arch-lr-nan", "search-arch-lr-inf",
-            "synth-seed--1"])
+            "synth-seed--1", "sweep-dims-list", "sweep-layers-list", "bench-lens-list"])
     def test_bad_data_or_search_setting_is_usage_error(self, tmp_path, capsys, command,
                                                        conf, message):
         (tmp_path / "run.conf").write_text(conf)
         (tmp_path / "log.tsv").write_text("".join(f"u{t % 2}\ti{t}\t{t}\n" for t in range(12)))
-        dataset = [] if command[0] in ("synth", "ingest") else ["--dataset", str(synth(tmp_path))]
-        inputs = {"synth": [],
+        dataset = ([] if command[0] in ("synth", "ingest", "bench")
+                   else ["--dataset", str(synth(tmp_path))])
+        inputs = {"synth": [], "bench": [],
                   "ingest": ["--input", str(tmp_path / "log.tsv"), "--min-interactions", "3"],
-                  "search": FAST, "train": ["--k", "2"] + FAST,
+                  "search": FAST, "train": ["--k", "2"] + FAST, "sweep": FAST,
                   "eval": ["--checkpoint", str(tmp_path / "absent.bin")]}[command[0]]
         argv = [command[0]] + dataset + inputs + [arg.format(conf=tmp_path / "run.conf")
                                                   for arg in command[1:]]
@@ -331,7 +345,7 @@ class TestDispatchAndExitCodes:
         code = cli.main(["search", "--dataset", str(dataset), "--K", "1,x",
                          "--out", str(tmp_path / "out")] + FAST)
         assert code == 2
-        assert "bad window list '1,x'" in capsys.readouterr().err
+        assert "config key K: expected e.g. 1,2,4, got '1,x'" in capsys.readouterr().err
 
     def test_eval_on_another_max_len_is_data_error(self, tmp_path, capsys):
         train_out = tmp_path / "train"
@@ -424,13 +438,13 @@ class TestConfigResolution:
         got = self.command_options()
         assert got == COMMAND_OPTIONS
         assert {name: len(opts) for name, opts in got.items()} == {
-            "ingest": 8, "synth": 9, "search": 28, "train": 27, "eval": 8, "oracle": 26,
-            "sweep": 28, "ablate": 26, "bench": 15}
+            "ingest": 8, "synth": 9, "search": 26, "train": 25, "eval": 8, "oracle": 24,
+            "sweep": 26, "ablate": 24, "bench": 13}
 
     def test_every_setting_a_command_resolves_is_its_flag(self):
-        # the dataset sets num_items, and --K or --k the windows
+        # the dataset sets num_items and max_len, and --K or --k the windows
         model_keys = [f.name for f in fields(model.ModelConfig)
-                      if f.name not in ("num_items", "windows")]
+                      if f.name not in ("num_items", "max_len", "windows")]
         train_keys = [f.name for f in fields(TrainConfig)]
         reads = {command: model_keys + train_keys
                  for command in ("search", "train", "oracle", "sweep", "ablate")}
@@ -445,8 +459,9 @@ class TestConfigResolution:
     def test_a_command_that_reads_a_dataset_archives_its_max_len(self, tmp_path):
         dataset = synth(tmp_path)  # built at max_len 5
         train_out, eval_out = tmp_path / "train", tmp_path / "eval"
+        (tmp_path / "run.conf").write_text("max_len = 20\n")  # gives way to the dataset's
         assert cli.main(["train", "--dataset", str(dataset), "--k", "2", "--out",
-                         str(train_out)] + FAST + ["--max-len", "20"]) == 0
+                         str(train_out), "--config", str(tmp_path / "run.conf")] + FAST) == 0
         assert cli.main(["eval", "--dataset", str(dataset), "--eval-negatives", "8",
                          "--checkpoint", str(train_out / "checkpoint.bin"),
                          "--out", str(eval_out)]) == 0  # its default is 50
@@ -594,6 +609,16 @@ class TestArtifacts:
         metrics = tmp_path / name / "metrics.json"
         return code, json.loads(metrics.read_text()) if code == 0 else None
 
+    @staticmethod
+    def with_config(checkpoint, path, **config):
+        """A copy of ``checkpoint`` at ``path`` whose header config also holds ``config``."""
+        magic, head, payload = checkpoint.read_bytes().split(b"\n", 2)
+        header = json.loads(head)
+        header["config"].update(config)
+        path.write_bytes(
+            magic + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        return path
+
     def test_truncated_artifacts_are_data_errors(self, tmp_path):
         dataset, checkpoint = self.trained(tmp_path)
         ds_bytes, ck_bytes = dataset.read_bytes(), checkpoint.read_bytes()
@@ -684,7 +709,7 @@ class TestArtifacts:
     def test_checkpoint_header_is_pinned(self, tmp_path):
         cfg = model.ModelConfig(num_items=7, max_len=5, dim=3, seq_hidden=4, ch_hidden=2,
                                 layers=1, windows=(1, 3), dropout=0.25, activation="relu",
-                                norm_axis="sequence", disable_channel_mixer=True)
+                                disable_channel_mixer=True)
         path = tmp_path / "checkpoint.bin"
         model.save_checkpoint(path, model.init_params(cfg, np.random.default_rng(0)), cfg)
         assert path.read_bytes().split(b"\n")[1].decode() == CHECKPOINT_HEADER
@@ -694,7 +719,7 @@ class TestArtifacts:
         dataset, checkpoint = self.trained(tmp_path)
         magic, head, payload = checkpoint.read_bytes().split(b"\n", 2)
         header = json.loads(head)
-        del header["config"]["norm_axis"]
+        del header["config"]["dropout"]
         checkpoint.write_bytes(
             magic + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
         assert self.evaluate(tmp_path, dataset, checkpoint, "eval")[0] == 3
@@ -702,12 +727,31 @@ class TestArtifacts:
     def test_a_header_with_a_bad_config_value_is_a_data_error(self, tmp_path):
         # ModelConfig refuses the value as a setting, but in a checkpoint it is data
         dataset, checkpoint = self.trained(tmp_path)
-        magic, head, payload = checkpoint.read_bytes().split(b"\n", 2)
-        header = json.loads(head)
-        header["config"]["dropout"] = 1.5
-        checkpoint.write_bytes(
-            magic + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        self.with_config(checkpoint, checkpoint, dropout=1.5)
         assert self.evaluate(tmp_path, dataset, checkpoint, "eval")[0] == 3
+
+    def test_a_header_with_the_retired_channel_norm_axis_evaluates_the_same(self, tmp_path):
+        # earlier releases wrote "norm_axis": "channel", the layer norm every model runs
+        dataset, checkpoint = self.trained(tmp_path)
+        old = self.with_config(checkpoint, tmp_path / "old.bin", norm_axis="channel")
+        assert self.evaluate(tmp_path, dataset, old, "old")[0] == 0
+        assert self.evaluate(tmp_path, dataset, checkpoint, "new")[0] == 0
+        assert ((tmp_path / "old" / "metrics.json").read_bytes()
+                == (tmp_path / "new" / "metrics.json").read_bytes())
+
+    @pytest.mark.parametrize("config, message", [
+        ({"norm_axis": "sequence"}, "config norm_axis = 'sequence' is not this model's"),
+        ({"feature_vocabs": [3]}, "config feature_vocabs = [3] is not this model's"),
+        ({"activation2": 1}, "config activation2 = 1 is not this model's"),
+    ], ids=["norm-axis-sequence", "feature-vocabs", "unknown-key"])
+    def test_a_header_with_a_config_key_the_model_lacks_is_a_data_error(self, tmp_path, capsys,
+                                                                         config, message):
+        # the arrays match, so only the key tells that these settings are not the model's
+        dataset, checkpoint = self.trained(tmp_path)
+        path = self.with_config(checkpoint, tmp_path / "other.bin", **config)
+        capsys.readouterr()
+        assert self.evaluate(tmp_path, dataset, path, "eval")[0] == 3
+        assert f"{path}: {message}" in capsys.readouterr().err
 
     def test_headers_with_empty_feature_keys_still_load(self, tmp_path):
         # earlier releases wrote "num_feature_fields": 0 into the dataset
@@ -717,12 +761,8 @@ class TestArtifacts:
         header = dict(json.loads(head), num_feature_fields=0)
         old_dataset = tmp_path / "old_dataset.jsonl"
         old_dataset.write_text(json.dumps(header, sort_keys=True) + "\n" + rest)
-        magic, head, payload = checkpoint.read_bytes().split(b"\n", 2)
-        header = json.loads(head)
-        header["config"]["feature_vocabs"] = []
-        old_checkpoint = tmp_path / "old_checkpoint.bin"
-        old_checkpoint.write_bytes(
-            magic + b"\n" + json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+        old_checkpoint = self.with_config(checkpoint, tmp_path / "old_checkpoint.bin",
+                                          feature_vocabs=[])
         old = self.evaluate(tmp_path, old_dataset, old_checkpoint, "old")
         assert old[0] == 0
         assert old == self.evaluate(tmp_path, dataset, checkpoint, "new")

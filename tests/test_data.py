@@ -718,7 +718,6 @@ SETTING_CHECKS = {
     "model-window-at-max-len": ("__post_init__", lambda: m.ModelConfig(10, 5, windows=(5,))),
     "model-dropout-1.5": ("__post_init__", lambda: m.ModelConfig(10, 5, dropout=1.5)),
     "model-activation": ("__post_init__", lambda: m.ModelConfig(10, 5, activation="tanh")),
-    "model-norm-axis": ("__post_init__", lambda: m.ModelConfig(10, 5, norm_axis="diagonal")),
     "train-learning-rate-nan": ("__post_init__", lambda: tr.TrainConfig(learning_rate=np.nan)),
     "train-eps-adam-0": ("__post_init__", lambda: tr.TrainConfig(eps_adam=0.0)),
     "train-beta1-1": ("__post_init__", lambda: tr.TrainConfig(beta1=1.0)),

@@ -116,16 +116,6 @@ class TestSequenceMixer:
             np.testing.assert_allclose(
                 batched[i * cfg.max_len:(i + 1) * cfg.max_len], single, atol=1e-12)
 
-    def test_sequence_norm_axis_variant(self):
-        cfg_ch = toy_cfg()
-        cfg_seq = toy_cfg(norm_axis="sequence")
-        rng = np.random.default_rng(6)
-        params = m.init_params(cfg_ch, rng)
-        x = nk.Tensor2(rng.normal(size=(cfg_ch.dim, cfg_ch.max_len)).T)
-        a = m.sequence_mixer_block(x, params.long_stack[0], cfg_ch, blocks=1).data
-        b = m.sequence_mixer_block(x, params.long_stack[0], cfg_seq, blocks=1).data
-        assert np.abs(a - b).max() > 1e-8
-
 
 class TestChannelMixer:
     def test_zero_weights_identity(self):
@@ -228,14 +218,13 @@ class TestFinalRowPath:
 
     @pytest.mark.parametrize("layers", [1, 3])
     @pytest.mark.parametrize("activation", ["gelu", "relu"])
-    @pytest.mark.parametrize("norm_axis", ["channel", "sequence"])
     @pytest.mark.parametrize("flags", [{}, {"disable_sequence_mixer": True},
                                        {"disable_channel_mixer": True},
                                        {"disable_sequence_mixer": True,
                                         "disable_channel_mixer": True}])
-    def test_matches_the_every_row_oracle(self, layers, activation, norm_axis, flags):
+    def test_matches_the_every_row_oracle(self, layers, activation, flags):
         cfg = toy_cfg(max_len=5, dim=3, seq_hidden=4, ch_hidden=6, layers=layers,
-                      windows=(1, 3), activation=activation, norm_axis=norm_axis, **flags)
+                      windows=(1, 3), activation=activation, **flags)
         rng = np.random.default_rng(layers)
         params = m.init_params(cfg, rng)
         blocks, t = 3, cfg.max_len
@@ -365,14 +354,14 @@ class TestScoreItems:
         params = m.init_params(cfg, np.random.default_rng(4))
         params.item_embedding.data[2] = params.item_embedding.data[5]
         h = nk.Tensor2(np.random.default_rng(5).normal(size=(1, cfg.dim)))
-        raw = m.score_items(h, [2, 5], params)
+        raw = m.score_items(h, [[2, 5]], params)
         assert raw.shape == (1, 2)
         assert raw.data[0, 0] == raw.data[0, 1]
 
     def test_zero_hidden_is_uniform(self):
         cfg = toy_cfg()
         params = m.init_params(cfg, np.random.default_rng(6))
-        raw = m.score_items(nk.Tensor2(np.zeros((1, cfg.dim))), [1, 2, 3, 4], params)
+        raw = m.score_items(nk.Tensor2(np.zeros((1, cfg.dim))), [[1, 2, 3, 4]], params)
         np.testing.assert_array_equal(raw.data, np.zeros((1, 4)))
 
     def test_hand_softmax(self):
@@ -380,7 +369,7 @@ class TestScoreItems:
         params = m.init_params(cfg, np.random.default_rng(7))
         params.item_embedding.data[1] = [2.0, 0.0]
         params.item_embedding.data[2] = [0.0, 5.0]
-        raw = m.score_items(nk.Tensor2([[1.0, 0.0]]), [1, 2], params)
+        raw = m.score_items(nk.Tensor2([[1.0, 0.0]]), [[1, 2]], params)
         np.testing.assert_allclose(raw.data, [[2.0, 0.0]], atol=1e-14)
         np.testing.assert_allclose(nk.softmax(raw).data, [[0.8808, 0.1192]], atol=1e-4)
 
@@ -388,7 +377,14 @@ class TestScoreItems:
         cfg = toy_cfg()
         params = m.init_params(cfg, np.random.default_rng(8))
         with pytest.raises(ValueError):
-            m.score_items(nk.Tensor2(np.zeros((1, cfg.dim))), [], params)
+            m.score_items(nk.Tensor2(np.zeros((1, cfg.dim))), [[]], params)
+
+    def test_a_candidate_list_shared_by_every_row_is_refused(self):
+        # each row names its own candidates; nothing tiles one list across rows
+        cfg = toy_cfg()
+        params = m.init_params(cfg, np.random.default_rng(8))
+        with pytest.raises(ValueError, match="B x C"):
+            m.score_items(nk.Tensor2(np.zeros((2, cfg.dim))), [1, 2, 3], params)
 
 
 class TestFullForward:
@@ -401,7 +397,7 @@ class TestFullForward:
         alpha = m.init_arch(cfg)
         h = m.forward_hidden(np.array([[0, 0, 1, 2, 3, 4]]), params, cfg, alpha)
         np.testing.assert_array_equal(h.data, 0.0)
-        raw = m.score_items(h, [1, 2, 3], params)
+        raw = m.score_items(h, [[1, 2, 3]], params)
         np.testing.assert_array_equal(raw.data, np.zeros((1, 3)))
 
     def test_train_mode_deterministic_given_seed(self):

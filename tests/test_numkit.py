@@ -25,11 +25,12 @@ def t(data, grad=False):
 
 
 class TestTensor2:
-    @pytest.mark.parametrize("data", [[1.0, 2.0, 3.0], np.zeros(4), 5.0, np.zeros((2, 2, 2))],
+    @pytest.mark.parametrize("data, ndim", [([1.0, 2.0, 3.0], 1), (np.zeros(4), 1), (5.0, 0),
+                                            (np.zeros((2, 2, 2)), 3)],
                              ids=["list-1d", "array-1d", "scalar", "3d"])
-    def test_data_that_is_not_2d_is_refused(self, data):
+    def test_data_that_is_not_2d_is_refused(self, data, ndim):
         # a row vector is written [[...]]; nothing reshapes 1-D data into one
-        with pytest.raises(nk.ShapeError, match="requires 2-D data"):
+        with pytest.raises(nk.ShapeError, match=f"requires 2-D data, got ndim={ndim}$"):
             t(data)
 
 
